@@ -38,6 +38,7 @@ from .graph_core import (
     ParseError,
     RetractCertificate,
     format_edge_list,
+    induced_subgraph,
     parse_edge_list,
     parse_graph6,
     verify_retract_certificate,
@@ -56,12 +57,16 @@ class CommandError(click.ClickException):
     exit_code = 2
 
 
-def _load_graph(path: str) -> Graph:
-    p = Path(path)
+def _read_text(path: str) -> str:
     try:
-        text = p.read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc}")
+
+
+def _load_graph(path: str) -> Graph:
+    p = Path(path)
+    text = _read_text(path)
     try:
         if p.suffix == ".g6":
             return parse_graph6(text)
@@ -136,9 +141,7 @@ def cmd_retract(g_path, h_path, solver, partitioned_path, batch_path) -> None:
     if batch_path:
         reports = []
         worst = 0
-        for lineno, raw in enumerate(
-            Path(batch_path).read_text().splitlines(), start=1
-        ):
+        for lineno, raw in enumerate(_read_text(batch_path).splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -164,13 +167,13 @@ def _solve_pair(
     report: dict = {"command": "retract", "inputs": {"g": _digest(g_path)}}
     try:
         if partitioned_path is not None:
-            hset = frozenset(
-                int(tok) for tok in Path(partitioned_path).read_text().split()
-            )
-            from .graph_core import induced_subgraph
-
-            h, _ = induced_subgraph(g, hset)
-            result = partitioned_retract(PartitionedInstance(g, hset))
+            text = _read_text(partitioned_path)
+            try:
+                inst = PartitionedInstance(g, frozenset(int(tok) for tok in text.split()))
+            except ValueError as exc:
+                raise CommandError(f"{partitioned_path}: {exc}")
+            h, _ = induced_subgraph(g, inst.hset)
+            result = partitioned_retract(inst)
             route = "partitioned"
         else:
             assert h_path is not None
@@ -288,11 +291,12 @@ def cmd_absolute(h_path, out_path) -> None:
 @click.option("--force", is_flag=True, help="Encode even if the instance is invalid.")
 def cmd_reduce3p(instance_path, out_prefix, force) -> None:
     """Encode a 3-partition instance as cotree files PREFIX_G.ct, PREFIX_H.ct."""
-    inst = reduction_mod.parse_instance(Path(instance_path).read_text())
+    text = _read_text(instance_path)
     try:
+        inst = reduction_mod.parse_instance(text)
         pair = reduction_mod.encode(inst, force=force)
     except ValueError as exc:
-        raise CommandError(str(exc))
+        raise CommandError(f"{instance_path}: {exc}")
     g_path = f"{out_prefix}_G.ct"
     h_path = f"{out_prefix}_H.ct"
     Path(g_path).write_text(format_cotree(pair.g) + "\n")

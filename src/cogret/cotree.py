@@ -281,15 +281,7 @@ def normalize(root: Cotree) -> Cotree:
 
 def clique_number(root: Cotree) -> int:
     """Max clique size: 1 at leaves, max over union children, sum over join."""
-    omega: dict[int, int] = {}
-    for node in _postorder(root):
-        if isinstance(node, Leaf):
-            omega[id(node)] = 1
-        elif node.kind == UNION:
-            omega[id(node)] = max(omega[id(c)] for c in node.children)
-        else:
-            omega[id(node)] = sum(omega[id(c)] for c in node.children)
-    return omega[id(root)]
+    return omega_table(root)[id(root)]
 
 
 def chromatic_number(root: Cotree) -> int:
@@ -297,15 +289,7 @@ def chromatic_number(root: Cotree) -> int:
 
     Cographs are perfect, so this always equals clique_number.
     """
-    chi: dict[int, int] = {}
-    for node in _postorder(root):
-        if isinstance(node, Leaf):
-            chi[id(node)] = 1
-        elif node.kind == UNION:
-            chi[id(node)] = max(chi[id(c)] for c in node.children)
-        else:
-            chi[id(node)] = sum(chi[id(c)] for c in node.children)
-    return chi[id(root)]
+    return omega_table(root)[id(root)]
 
 
 def omega_table(root: Cotree) -> dict[int, int]:
@@ -481,11 +465,6 @@ def canonical_key(root: Cotree) -> bytes:
                 node.kind.encode("ascii") + b"(" + b"".join(child_keys) + b")"
             )
     return keys[id(root)]
-
-
-def subtree_key(kind: str, child_keys: list[bytes]) -> bytes:
-    """Canonical key of a hypothetical internal node over the given children."""
-    return kind.encode("ascii") + b"(" + b"".join(sorted(child_keys)) + b")"
 
 
 # ---------------------------------------------------------------------------

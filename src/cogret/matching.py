@@ -1,9 +1,10 @@
 """Maximum bipartite matching (Hopcroft-Karp).
 
-The component-pairing steps of the trivially-perfect and fixed-parameter
-solvers reduce to bipartite matching; the instance is always bipartite,
-so general matching machinery is unnecessary and the O(E sqrt(V)) bound
-is kept.  Processing order is fixed so results are deterministic.
+The union step of the cotree-pair solver, which the trivially perfect
+and general routes share, gives every pattern component its own host
+component by bipartite matching; the instance is always bipartite, so
+general matching machinery is unnecessary and the O(E sqrt(V)) bound is
+kept.  Processing order is fixed so results are deterministic.
 """
 
 from __future__ import annotations

@@ -1,17 +1,28 @@
 """General cograph machinery: homomorphism test, partitioned retract,
-fixed-parameter retract and the front-door dispatcher.
+the cotree-pair retract solver and the front-door dispatcher.
 
 Cographs are perfect, so a homomorphism between them exists exactly when
 the source's chromatic number is at most the target's clique number.  The
-partitioned solver prunes the host's cotree; the fixed-parameter solver
-enumerates assignments of the pattern root's cocomponents to the host
-root's cocomponents, with component matching at union levels.
+partitioned solver prunes the host's cotree.
+
+One cotree-pair solver serves both the trivially perfect route
+(`tp_retract`, a class check in front of it) and the general route
+(`fpt_retract`, exponential in |V(H)| only).  It labels every subtree
+with an integer interned bottom-up from its kind and child labels, so
+isomorphic subtrees share a label and decisions are memoized on label
+pairs.  A pair is YES at once when the clique numbers agree and the
+pattern is a clique, or when the labels are equal.  Otherwise union
+levels match pattern components to host components, and join levels
+give each host cocomponent a multiset of pattern cocomponents with the
+same clique-number sum, trying isomorphic host cocomponents in
+non-increasing order only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product
 
 from .cotree import (
     GraphClass,
@@ -24,14 +35,12 @@ from .cotree import (
     UNION,
     Cotree,
     NotCographError,
+    _postorder,
     build_cotree,
-    canonical_key,
     classify,
-    clique_number,
+    cotree_leaves,
     max_clique_leaves,
-    omega_table,
     optimal_coloring,
-    subtree_key,
 )
 from .graph_core import (
     Graph,
@@ -40,9 +49,8 @@ from .graph_core import (
     induced_subgraph,
     verify_retract_certificate,
 )
-from .matching import BipartiteInstance, Matching, max_matching, saturates_right
+from .matching import BipartiteInstance, max_matching, saturates_right
 from .retract_threshold import threshold_retract
-from .retract_tp import tp_retract
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +163,7 @@ def partitioned_retract(inst: PartitionedInstance) -> RetractCertificate | NoRet
         if g.n == 0:
             return RetractCertificate(rho=(), gamma=())
         return NoRetract("empty pattern set")
-    root = _to_mutable(_mutable_source(g))
+    root = _to_mutable(build_cotree(g))
     prune_events: list[tuple[list[int], dict[int, int]]] = []
 
     while True:
@@ -185,10 +193,6 @@ def partitioned_retract(inst: PartitionedInstance) -> RetractCertificate | NoRet
     if not verify_retract_certificate(g, h, cert):
         raise AssertionError("partitioned solver produced an invalid certificate")
     return cert
-
-
-def _mutable_source(g: Graph) -> Cotree:
-    return build_cotree(g)
 
 
 def _find_and_prune(root: _MNode, hset: frozenset[int]) -> tuple[list[int], dict[int, int]] | None:
@@ -226,9 +230,7 @@ def _find_and_prune(root: _MNode, hset: frozenset[int]) -> tuple[list[int], dict
                 nd.children.pop(pos)
                 branch = _mutable_freeze(child)
                 target = _mutable_freeze(sibling)
-                coloring = optimal_coloring(branch)
-                clique = sorted(max_clique_leaves(target))
-                hom = {v: clique[c] for v, c in coloring.items()}
+                hom = _coloring_into(branch, sorted(max_clique_leaves(target)))
                 return _mutable_leaves(child), hom
         if nd.kind != "L":
             stack.extend(reversed(nd.children))
@@ -236,185 +238,306 @@ def _find_and_prune(root: _MNode, hset: frozenset[int]) -> tuple[list[int], dict
 
 
 # ---------------------------------------------------------------------------
-# fixed-parameter solver for general cograph pairs
+# the cotree-pair solver shared by the trivially perfect and general routes
+
+# A decided pair is a NO reason code, or a YES plan: (host child, pattern
+# children) pairs over both sides' children sorted by label.  The plan is
+# empty when the clique or equal-label shortcut answered.
+_Plan = tuple[tuple[int, tuple[int, ...]], ...]
+_Counts = tuple[int, ...]  # a multiset of pattern cocomponents, counted per class
+_LEAF = "L"
 
 
-class _FPTSolver:
-    """Decision and certification over cotree subtree pairs, memoized on
-    canonical keys so isomorphic subproblems are solved once."""
+class _CotreePairs:
+    """Retract decisions on (host subtree, pattern subtree) pairs.
 
-    def __init__(self, g: Graph, h: Graph):
-        self.g = g
-        self.h = h
-        self.tg = build_cotree(g)
-        self.th = build_cotree(h)
-        self.omega: dict[int, int] = omega_table(self.tg)
-        self.omega.update(omega_table(self.th))
-        self.keys: dict[int, bytes] = {}
-        self.memo: dict[tuple[bytes, bytes], bool] = {}
-        self._hold: list[Cotree] = []
+    Every subtree gets an integer label interned bottom-up from its kind
+    and its sorted child labels (Aho, Hopcroft and Ullman's tree
+    isomorphism labelling), so equal labels mean isomorphic subgraphs.
+    Decisions are memoized on label pairs; a join of some pattern
+    cocomponents gets its label from theirs without building a subtree.
+    """
 
-    def key(self, node: Cotree) -> bytes:
-        got = self.keys.get(id(node))
-        if got is None:
-            got = canonical_key(node)
-            self.keys[id(node)] = got
+    def __init__(self, tg: Cotree, th: Cotree):
+        self.index: dict[tuple[str, tuple[int, ...]], int] = {}
+        self.kind: list[str] = []
+        self.kids: list[tuple[int, ...]] = []
+        self.omega: list[int] = []
+        self.clique: list[bool] = []
+        self.labels: dict[int, int] = {}  # id(node) -> label, both cotrees
+        self.memo: dict[tuple[int, int], str | _Plan] = {}
+        self.roots = (tg, th)  # keeps the labelled nodes, and their ids, alive
+        for root in self.roots:
+            for node in _postorder(root):
+                if isinstance(node, Leaf):
+                    label = self.intern(_LEAF, ())
+                else:
+                    label = self.intern(
+                        node.kind, tuple(sorted(self.label(c) for c in node.children))
+                    )
+                self.labels[id(node)] = label
+
+    def label(self, node: Cotree) -> int:
+        return self.labels[id(node)]
+
+    def intern(self, kind: str, kids: tuple[int, ...]) -> int:
+        """Label of a node of this kind over children with these sorted labels."""
+        got = self.index.get((kind, kids))
+        if got is not None:
+            return got
+        label = self.index[(kind, kids)] = len(self.kind)
+        self.kind.append(kind)
+        self.kids.append(kids)
+        if kind == _LEAF:
+            self.omega.append(1)
+            self.clique.append(True)
+        elif kind == UNION:
+            self.omega.append(max(self.omega[c] for c in kids))
+            self.clique.append(False)
+        else:
+            self.omega.append(sum(self.omega[c] for c in kids))
+            self.clique.append(all(self.clique[c] for c in kids))
+        return label
+
+    def joined(self, labels: list[int]) -> int:
+        """Label of the join of pattern cocomponents with these labels."""
+        if len(labels) == 1:
+            return labels[0]
+        return self.intern(JOIN, tuple(sorted(labels)))
+
+    # -- decision ------------------------------------------------------------
+
+    def decide(self, a: int, b: int) -> str | _Plan:
+        """Does the pattern labelled b retract out of the host labelled a?"""
+        got = self.memo.get((a, b))
+        if got is not None:
+            return got
+        if self.omega[a] != self.omega[b]:
+            got = "clique-mismatch"
+        elif self.clique[b] or a == b:
+            got = ()
+        elif self.kind[a] == UNION:
+            got = self._decide_components(a, b)
+        elif self.kind[b] == UNION:
+            got = "matching-deficit"  # no connected graph has a disconnected retract
+        else:
+            got = self._decide_join(a, b)
+        self.memo[(a, b)] = got
         return got
 
-    def _derive_join(self, children: tuple[Cotree, ...]) -> Cotree:
-        if len(children) == 1:
-            return children[0]
-        node = Internal(JOIN, children)
-        self._hold.append(node)
-        self.omega[id(node)] = sum(self.omega[id(c)] for c in children)
-        self.keys[id(node)] = subtree_key(JOIN, [self.key(c) for c in children])
-        return node
-
-    def decide(self, gn: Cotree, hn: Cotree) -> bool:
-        key = (self.key(gn), self.key(hn))
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._decide_fresh(gn, hn)
-        self.memo[key] = result
-        return result
-
-    def _decide_fresh(self, gn: Cotree, hn: Cotree) -> bool:
-        if self.omega[id(gn)] != self.omega[id(hn)]:
-            return False
-        g_disc = isinstance(gn, Internal) and gn.kind == UNION
-        h_disc = isinstance(hn, Internal) and hn.kind == UNION
-        if not g_disc:
-            if h_disc:
-                return False  # no connected graph has a disconnected retract
-            return self._decide_connected(gn, hn)
-        gcomps = list(gn.children)
-        hcomps = list(hn.children) if h_disc else [hn]
-        return self._decide_components(gcomps, hcomps) is not None
-
-    def _decide_connected(self, gn: Cotree, hn: Cotree) -> bool:
-        if isinstance(gn, Leaf):
-            return isinstance(hn, Leaf)
-        if isinstance(hn, Leaf):
-            return False  # join node always carries an edge
-        return self._feasible_assignment(gn, hn) is not None
-
-    def _feasible_assignment(
-        self, gn: Internal, hn: Internal
-    ) -> tuple[tuple[int, ...], list[Cotree]] | None:
-        """First assignment of pattern cocomponents onto host cocomponents
-        (lexicographic, surjective) whose pairs all retract."""
-        p = len(gn.children)
-        q = len(hn.children)
-        if q < p:
-            return None
-        every = frozenset(range(p))
-        for f in product(range(p), repeat=q):
-            if frozenset(f) != every:
-                continue
-            parts: list[list[Cotree]] = [[] for _ in range(p)]
-            for j, i in enumerate(f):
-                parts[i].append(hn.children[j])
-            derived = [self._derive_join(tuple(part)) for part in parts]
-            if any(
-                self.omega[id(gn.children[i])] != self.omega[id(derived[i])]
-                for i in range(p)
-            ):
-                continue
-            if all(self.decide(gn.children[i], derived[i]) for i in range(p)):
-                return f, derived
-        return None
-
-    def _decide_components(
-        self, gcomps: list[Cotree], hcomps: list[Cotree]
-    ) -> Matching | None:
-        """Saturating matching over component pairs, or None when infeasible."""
+    def _decide_components(self, a: int, b: int) -> str | _Plan:
+        """Each pattern component needs its own host component retracting
+        onto it.  Equal clique numbers let every other host component map
+        into a pattern component."""
+        gcomps = self.kids[a]
+        hcomps = self.kids[b] if self.kind[b] == UNION else (b,)
         p, q = len(gcomps), len(hcomps)
         if q > p:
-            return None
-        edges = tuple(
-            (i, j)
-            for i in range(p)
-            for j in range(q)
-            if self.decide(gcomps[i], hcomps[j])
-        )
-        matching = max_matching(BipartiteInstance(p=p, q=q, edges=edges))
+            return "matching-deficit"
+        edges = []
+        for i in range(p):  # a loop, not a generator: one stack frame per level
+            for j in range(q):
+                if not isinstance(self.decide(gcomps[i], hcomps[j]), str):
+                    edges.append((i, j))
+        matching = max_matching(BipartiteInstance(p=p, q=q, edges=tuple(edges)))
         if not saturates_right(matching, q):
-            return None
-        h_omega = max(self.omega[id(d)] for d in hcomps)
-        matched = {i for i, _ in matching.pairs}
-        for i in range(p):
-            if i not in matched and self.omega[id(gcomps[i])] > h_omega:
-                return None
-        return matching
+            return "matching-deficit"
+        return tuple((i, (j,)) for i, j in matching.pairs)
 
-    # -- certificates ------------------------------------------------------
+    def _decide_join(self, a: int, b: int) -> str | _Plan:
+        """Give each host cocomponent a nonempty multiset of pattern
+        cocomponents whose clique numbers sum to its own, such that it
+        retracts onto their join.
 
-    def certify(self, gn: Cotree, hn: Cotree) -> tuple[dict, dict]:
-        g_disc = isinstance(gn, Internal) and gn.kind == UNION
-        h_disc = isinstance(hn, Internal) and hn.kind == UNION
-        if not g_disc:
-            if isinstance(gn, Leaf):
-                assert isinstance(hn, Leaf)
-                return {gn.vertex: hn.vertex}, {hn.vertex: gn.vertex}
-            assert isinstance(hn, Internal) and hn.kind == JOIN
-            found = self._feasible_assignment(gn, hn)
-            assert found is not None, "certify called on a NO pair"
-            _, derived = found
-            rho: dict = {}
-            gamma: dict = {}
-            for i, child in enumerate(gn.children):
-                sub_rho, sub_gamma = self.certify(child, derived[i])
-                rho.update(sub_rho)
-                gamma.update(sub_gamma)
-            return rho, gamma
-        gcomps = list(gn.children)
-        hcomps = list(hn.children) if h_disc else [hn]
-        matching = self._decide_components(gcomps, hcomps)
-        assert matching is not None, "certify called on a NO pair"
-        rho = {}
-        gamma = {}
-        matched = {}
-        for i, j in matching.pairs:
-            matched[i] = j
-            sub_rho, sub_gamma = self.certify(gcomps[i], hcomps[j])
-            rho.update(sub_rho)
-            gamma.update(sub_gamma)
-        for i in range(len(gcomps)):
-            if i in matched:
+        Host cocomponents are taken in (omega, label) order.  Isomorphic
+        ones are interchangeable, so their multisets are non-increasing,
+        and the last one takes what is left.  On trivially perfect inputs
+        this is forced: universal leaf to universal leaf, the rest to the
+        non-leaf child.  A NO carries the reason of the first cocomponent
+        pair that failed.
+        """
+        gk, hk = self.kids[a], self.kids[b]
+        p = len(gk)
+        if len(hk) < p:
+            return "universal-count"
+        order = sorted(range(p), key=lambda i: (self.omega[gk[i]], gk[i]))
+        hosts = [gk[i] for i in order]
+        classes = sorted(set(hk), key=lambda y: (self.omega[y], y))
+        parts: list[_Counts] = []  # multisets chosen for hosts[:len(parts)]
+
+        def candidates(i: int, left: _Counts) -> Iterator[_Counts]:
+            bound = parts[i - 1] if i and hosts[i] == hosts[i - 1] else None
+            if i == p - 1:
+                return iter([left] if bound is None or left <= bound else [])
+            room = sum(left) - (p - 1 - i)  # leave one for each later host
+            return self._parts(classes, left, self.omega[hosts[i]], room, bound)
+
+        tally = Counter(hk)
+        start = tuple(tally[c] for c in classes)
+        frames = [(candidates(0, start), start)]  # one per host being assigned
+        first_no = None
+        while frames:
+            i = len(frames) - 1
+            tries, left = frames[i]
+            part = next(tries, None)
+            if part is None:
+                frames.pop()
+                if parts:
+                    parts.pop()
                 continue
-            target = next(
-                j
-                for j in range(len(hcomps))
-                if self.omega[id(hcomps[j])] >= self.omega[id(gcomps[i])]
+            got = self.decide(
+                hosts[i], self.joined([c for c, k in zip(classes, part) for _ in range(k)])
             )
-            coloring = optimal_coloring(gcomps[i])
-            clique = sorted(max_clique_leaves(hcomps[target]))
-            rho.update({v: clique[c] for v, c in coloring.items()})
-        return rho, gamma
+            if isinstance(got, str):
+                first_no = first_no or got
+                continue
+            parts.append(part)
+            if i < p - 1:
+                rest = tuple(x - y for x, y in zip(left, part))
+                frames.append((candidates(i + 1, rest), rest))
+                continue
+            pool: dict[int, list[int]] = {}
+            for j, y in enumerate(hk):
+                pool.setdefault(y, []).append(j)
+            return tuple(
+                (i, tuple(pool[c].pop() for c, k in zip(classes, part) for _ in range(k)))
+                for i, part in zip(order, parts)
+            )
+        return first_no or "universal-count"
+
+    def _parts(
+        self, classes: list[int], left: _Counts, target: int, room: int, bound: _Counts | None
+    ) -> Iterator[_Counts]:
+        """Count vectors over classes, at most `left`, with clique numbers
+        summing to target, at most `room` items and lexicographically at
+        most `bound`; largest first."""
+        counts = [0] * len(classes)
+
+        def fill(c: int, need: int, room: int, tight: bool) -> Iterator[_Counts]:
+            if need == 0:
+                yield tuple(counts)
+                return
+            if c == len(classes) or room == 0 or self.omega[classes[c]] > need:
+                return  # classes are in omega order: later ones are no lighter
+            w = self.omega[classes[c]]
+            top = min(left[c], need // w, room)
+            if tight:
+                top = min(top, bound[c])
+            for k in range(top, -1, -1):
+                counts[c] = k
+                yield from fill(c + 1, need - k * w, room - k, tight and k == bound[c])
+            counts[c] = 0
+
+        return fill(0, target, room, bound is not None)
+
+    # -- certificates ----------------------------------------------------------
+
+    def certify(self, gn: Cotree, hn: Cotree, b: int, rho: dict, gamma: dict) -> None:
+        """Add the maps of a YES pair to rho and gamma; hn has label b."""
+        a = self.label(gn)
+        if self.clique[b]:
+            _clique_maps(gn, hn, rho, gamma)
+            return
+        if a == b:
+            self._iso_maps(gn, hn, rho, gamma)
+            return
+        plan = self.memo[(a, b)]
+        assert not isinstance(plan, str), "certify called on a NO pair"
+        assert isinstance(gn, Internal)
+        gkids = sorted(gn.children, key=self.label)
+        if self.kind[a] == UNION and self.kind[b] != UNION:
+            hkids, hlabels = [hn], [b]
+        else:
+            assert isinstance(hn, Internal)
+            hkids = sorted(hn.children, key=self.label)
+            hlabels = [self.label(c) for c in hkids]
+        for i, js in plan:
+            if len(js) == 1:
+                sub: Cotree = hkids[js[0]]
+            else:
+                sub = Internal(JOIN, tuple(hkids[j] for j in js))
+            self.certify(gkids[i], sub, self.joined([hlabels[j] for j in js]), rho, gamma)
+        if len(plan) < len(gkids):  # host components left over at a union
+            widest = max(range(len(hkids)), key=lambda j: self.omega[hlabels[j]])
+            clique = sorted(max_clique_leaves(hkids[widest]))
+            matched = {i for i, _ in plan}
+            for i, comp in enumerate(gkids):
+                if i not in matched:
+                    rho.update(_coloring_into(comp, clique))
+
+    def _iso_maps(self, gn: Cotree, hn: Cotree, rho: dict, gamma: dict) -> None:
+        """Isomorphism between equally labelled subtrees, and its inverse."""
+        stack = [(gn, hn)]
+        while stack:
+            x, y = stack.pop()
+            if isinstance(x, Leaf):
+                assert isinstance(y, Leaf)
+                rho[x.vertex] = y.vertex
+                gamma[y.vertex] = x.vertex
+            else:
+                assert isinstance(y, Internal)
+                stack.extend(
+                    zip(
+                        sorted(x.children, key=self.label),
+                        sorted(y.children, key=self.label),
+                    )
+                )
+
+
+def _coloring_into(gn: Cotree, clique: list[int]) -> dict[int, int]:
+    """Edge-preserving map of gn's graph onto a clique of at least its
+    chromatic number: an optimal coloring, color i to clique[i]."""
+    return {v: clique[c] for v, c in optimal_coloring(gn).items()}
+
+
+def _clique_maps(gn: Cotree, hn: Cotree, rho: dict, gamma: dict) -> None:
+    """Maps onto a clique pattern with the host's clique number."""
+    coloring = optimal_coloring(gn)
+    clique = sorted(max_clique_leaves(gn))
+    h_sorted = sorted(cotree_leaves(hn))
+    assert len(clique) == len(h_sorted)
+    to_h = {coloring[clique[i]]: h_sorted[i] for i in range(len(clique))}
+    rho.update({v: to_h[c] for v, c in coloring.items()})
+    gamma.update(zip(h_sorted, clique))
+
+
+def cotree_pair_retract(
+    g: Graph, h: Graph, tg: Cotree, th: Cotree
+) -> RetractCertificate | NoRetract:
+    """Decide whether h is a retract of g from their cotrees tg and th.
+
+    YES answers carry a verified certificate.  NO answers name the failing
+    condition: clique-mismatch (clique numbers differ), universal-count
+    (a join level has fewer pattern cocomponents than host cocomponents,
+    or none fit their clique numbers) or matching-deficit (a union level
+    cannot give every pattern component its own host component).
+    """
+    solver = _CotreePairs(tg, th)
+    b = solver.label(th)
+    outcome = solver.decide(solver.label(tg), b)
+    if isinstance(outcome, str):
+        return NoRetract(outcome)
+    rho: dict[int, int] = {}
+    gamma: dict[int, int] = {}
+    solver.certify(tg, th, b, rho, gamma)
+    cert = RetractCertificate(
+        rho=tuple(rho[v] for v in range(g.n)),
+        gamma=tuple(gamma[y] for y in range(h.n)),
+    )
+    if not verify_retract_certificate(g, h, cert):
+        raise AssertionError("cotree-pair solver produced an invalid certificate")
+    return cert
 
 
 def fpt_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
     """Retract decision for general cograph pairs, parameterized by |V(h)|.
 
-    Early NO when clique numbers differ; join levels enumerate surjective
-    assignments of pattern cocomponents to host cocomponents, union levels
-    run component matching; everything is memoized on canonical cotree
-    keys.  Raises NotCographError on non-cograph input.
+    Runs the shared cotree-pair solver: join levels search multisets of
+    pattern cocomponents for the host cocomponents, union levels run
+    component matching, and everything is memoized on interned subtree
+    labels.  Raises NotCographError on non-cograph input.
     """
-    if clique_number(build_cotree(g)) != clique_number(build_cotree(h)):
-        return NoRetract("clique numbers differ")
-    solver = _FPTSolver(g, h)
-    if not solver.decide(solver.tg, solver.th):
-        return NoRetract("no assignment of pattern cocomponents succeeds")
-    rho_map, gamma_map = solver.certify(solver.tg, solver.th)
-    cert = RetractCertificate(
-        rho=tuple(rho_map[v] for v in range(g.n)),
-        gamma=tuple(gamma_map[y] for y in range(h.n)),
-    )
-    if not verify_retract_certificate(g, h, cert):
-        raise AssertionError("fixed-parameter solver produced an invalid certificate")
-    return cert
+    return cotree_pair_retract(g, h, build_cotree(g), build_cotree(h))
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +568,8 @@ def retract(g: Graph, h: Graph) -> tuple[RetractCertificate | NoRetract, str]:
     hc = classify(h)
     if hc.name == NOT_COGRAPH:
         raise NotCographError(hc.witness)  # type: ignore[arg-type]
+    from .retract_tp import tp_retract  # retract_tp imports this module
+
     route = solver_route(gc, hc)
     if route == "threshold":
         return threshold_retract(g, h), route

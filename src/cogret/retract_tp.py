@@ -2,39 +2,26 @@
 
 A connected trivially perfect graph is a clique of universal vertices
 joined onto a disjoint union of smaller trivially perfect graphs, so its
-cotree has at most one non-leaf child under every join node.  The solver
-walks the two cotrees: universal vertices are paired off while both sides
-are connected, and disconnected levels are resolved by a maximum bipartite
-matching over component pairs with homomorphisms absorbing the leftovers.
+cotree has at most one non-leaf child under every join node.  `tp_retract`
+checks that class and then runs the cotree-pair solver it shares with the
+general route (`retract_cograph.cotree_pair_retract`).  On these cotrees
+that solver's join step is forced: universal leaves are paired off with
+universal leaves and the remaining pattern cocomponents go to the host's
+non-leaf child.  Union levels are resolved by a maximum bipartite
+matching over component pairs, with homomorphisms absorbing the leftover
+host components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cotree import (
-    JOIN,
-    UNION,
     Cotree,
-    Internal,
-    Leaf,
     NotCographError,
     build_cotree,
-    canonical_key,
-    cotree_leaves,
     is_trivially_perfect_cotree,
-    max_clique_leaves,
-    omega_table,
-    optimal_coloring,
-    subtree_key,
 )
-from .graph_core import (
-    Graph,
-    NoRetract,
-    RetractCertificate,
-    verify_retract_certificate,
-)
-from .matching import BipartiteInstance, max_matching, saturates_right
+from .graph_core import Graph, NoRetract, RetractCertificate
+from .retract_cograph import cotree_pair_retract
 
 
 class NotTriviallyPerfectError(ValueError):
@@ -44,21 +31,6 @@ class NotTriviallyPerfectError(ValueError):
 def universal_vertices(g: Graph) -> tuple[int, ...]:
     """Exactly the vertices adjacent to all others."""
     return tuple(v for v in range(g.n) if g.degree(v) == g.n - 1)
-
-
-@dataclass
-class ComponentTable:
-    """Memo of solved subtree pairs, keyed by canonical cotree keys."""
-
-    entries: dict[tuple[bytes, bytes], dict] = field(default_factory=dict)
-
-    def get(self, gk: bytes, hk: bytes) -> dict | None:
-        return self.entries.get((gk, hk))
-
-    def put(
-        self, gk: bytes, hk: bytes, retracts: bool, hom: bool, reason: str | None
-    ) -> None:
-        self.entries[(gk, hk)] = {"retracts": retracts, "hom": hom, "reason": reason}
 
 
 def _tp_cotree(g: Graph, what: str) -> Cotree:
@@ -73,212 +45,12 @@ def _tp_cotree(g: Graph, what: str) -> Cotree:
     return root
 
 
-class _TPSolver:
-    def __init__(self, g: Graph, h: Graph):
-        self.g = g
-        self.h = h
-        self.tg = _tp_cotree(g, "host")
-        self.th = _tp_cotree(h, "pattern")
-        self.omega: dict[int, int] = omega_table(self.tg)
-        self.omega.update(omega_table(self.th))
-        self.keys: dict[int, bytes] = {}
-        self.table = ComponentTable()
-        self._hold: list[Cotree] = []  # keeps derived nodes alive for id() caches
-
-    # -- cached node attributes ------------------------------------------
-
-    def key(self, node: Cotree) -> bytes:
-        got = self.keys.get(id(node))
-        if got is None:
-            got = canonical_key(node)
-            self.keys[id(node)] = got
-        return got
-
-    def _derive_join(self, children: tuple[Cotree, ...]) -> Cotree:
-        if len(children) == 1:
-            return children[0]
-        node = Internal(JOIN, children)
-        self._hold.append(node)
-        self.omega[id(node)] = sum(self.omega[id(c)] for c in children)
-        self.keys[id(node)] = subtree_key(JOIN, [self.key(c) for c in children])
-        return node
-
-    @staticmethod
-    def _split_connected(node: Cotree) -> tuple[list[Leaf], Cotree | None]:
-        """Universal leaf children and the single non-leaf child, if any."""
-        if isinstance(node, Leaf):
-            return [node], None
-        leaves = [c for c in node.children if isinstance(c, Leaf)]
-        rest = [c for c in node.children if not isinstance(c, Leaf)]
-        assert len(rest) <= 1, "not a trivially perfect cotree"
-        return leaves, rest[0] if rest else None
-
-    # -- decision ---------------------------------------------------------
-
-    def decide(self, gn: Cotree | None, hn: Cotree | None) -> tuple[bool, str | None]:
-        if hn is None:
-            return (gn is None, None if gn is None else "unmatched-component")
-        if gn is None:
-            return False, "universal-count"
-        gk, hk = self.key(gn), self.key(hn)
-        hit = self.table.get(gk, hk)
-        if hit is not None:
-            return hit["retracts"], hit.get("reason")
-        ok, reason = self._decide_fresh(gn, hn)
-        self.table.put(
-            gk, hk, ok, hom=self.omega[id(gn)] <= self.omega[id(hn)], reason=reason
-        )
-        return ok, reason
-
-    def _decide_fresh(self, gn: Cotree, hn: Cotree) -> tuple[bool, str | None]:
-        if self.omega[id(gn)] != self.omega[id(hn)]:
-            return False, "clique-mismatch"
-        g_disc = isinstance(gn, Internal) and gn.kind == UNION
-        h_disc = isinstance(hn, Internal) and hn.kind == UNION
-        if not g_disc and not h_disc:
-            return self._decide_connected(gn, hn)
-        if not g_disc and h_disc:
-            return False, "matching-deficit"  # connected host, disconnected pattern
-        gcomps = list(gn.children)
-        hcomps = list(hn.children) if h_disc else [hn]
-        return self._decide_components(gcomps, hcomps)
-
-    def _decide_connected(self, gn: Cotree, hn: Cotree) -> tuple[bool, str | None]:
-        g_leaves, g_rest = self._split_connected(gn)
-        h_leaves, h_rest = self._split_connected(hn)
-        k = len(g_leaves)
-        if len(h_leaves) < k:
-            return False, "universal-count"
-        if h_rest is None:  # pattern is a clique and clique numbers already match
-            return True, None
-        remaining = tuple(h_leaves[k:]) + (h_rest,)
-        return self.decide(g_rest, self._derive_join(remaining))
-
-    def _decide_components(
-        self, gcomps: list[Cotree], hcomps: list[Cotree]
-    ) -> tuple[bool, str | None]:
-        p, q = len(gcomps), len(hcomps)
-        if q > p:
-            return False, "matching-deficit"
-        edges = tuple(
-            (i, j)
-            for i in range(p)
-            for j in range(q)
-            if self.decide(gcomps[i], hcomps[j])[0]
-        )
-        matching = max_matching(BipartiteInstance(p=p, q=q, edges=edges))
-        if not saturates_right(matching, q):
-            return False, "matching-deficit"
-        h_omega = max(self.omega[id(d)] for d in hcomps)
-        matched = {i for i, _ in matching.pairs}
-        for i in range(p):
-            if i not in matched and self.omega[id(gcomps[i])] > h_omega:
-                return False, "unmatched-component"
-        return True, None
-
-    # -- certificate construction ------------------------------------------
-
-    def certify(self, gn: Cotree | None, hn: Cotree | None) -> tuple[dict, dict]:
-        """Maps for a pair already decided YES, in original vertex ids."""
-        if hn is None:
-            assert gn is None
-            return {}, {}
-        assert gn is not None
-        if self.omega[id(gn)] != self.omega[id(hn)]:
-            raise AssertionError("certify called on a NO pair")
-        g_disc = isinstance(gn, Internal) and gn.kind == UNION
-        h_disc = isinstance(hn, Internal) and hn.kind == UNION
-        if not g_disc and not h_disc:
-            return self._certify_connected(gn, hn)
-        gcomps = list(gn.children)
-        hcomps = list(hn.children) if h_disc else [hn]
-        return self._certify_components(gcomps, hcomps)
-
-    def _certify_connected(self, gn: Cotree, hn: Cotree) -> tuple[dict, dict]:
-        g_leaves, g_rest = self._split_connected(gn)
-        h_leaves, h_rest = self._split_connected(hn)
-        g_univ = sorted(leaf.vertex for leaf in g_leaves)
-        h_univ = sorted(leaf.vertex for leaf in h_leaves)
-        if h_rest is None:
-            return _clique_maps(gn, hn)
-        k = len(g_univ)
-        keep_leaves = tuple(
-            leaf for leaf in h_leaves if leaf.vertex not in set(h_univ[:k])
-        )
-        sub_h = self._derive_join(keep_leaves + (h_rest,))
-        rho, gamma = self.certify(g_rest, sub_h)
-        for x, y in zip(g_univ, h_univ[:k]):
-            rho[x] = y
-            gamma[y] = x
-        return rho, gamma
-
-    def _certify_components(
-        self, gcomps: list[Cotree], hcomps: list[Cotree]
-    ) -> tuple[dict, dict]:
-        p, q = len(gcomps), len(hcomps)
-        edges = tuple(
-            (i, j)
-            for i in range(p)
-            for j in range(q)
-            if self.decide(gcomps[i], hcomps[j])[0]
-        )
-        matching = max_matching(BipartiteInstance(p=p, q=q, edges=edges))
-        assert saturates_right(matching, q)
-        rho: dict = {}
-        gamma: dict = {}
-        matched = {}
-        for i, j in matching.pairs:
-            matched[i] = j
-            sub_rho, sub_gamma = self.certify(gcomps[i], hcomps[j])
-            rho.update(sub_rho)
-            gamma.update(sub_gamma)
-        for i in range(p):
-            if i in matched:
-                continue
-            target = next(
-                j
-                for j in range(q)
-                if self.omega[id(hcomps[j])] >= self.omega[id(gcomps[i])]
-            )
-            rho.update(_hom_map(gcomps[i], hcomps[target]))
-        return rho, gamma
-
-
-def _clique_maps(gn: Cotree, hn: Cotree) -> tuple[dict, dict]:
-    """Maps onto a clique pattern with the host's clique number."""
-    coloring = optimal_coloring(gn)
-    clique = sorted(max_clique_leaves(gn))
-    h_sorted = sorted(cotree_leaves(hn))
-    assert len(clique) == len(h_sorted)
-    to_h = {coloring[clique[i]]: h_sorted[i] for i in range(len(clique))}
-    rho = {v: to_h[c] for v, c in coloring.items()}
-    gamma = {h_sorted[i]: clique[i] for i in range(len(clique))}
-    return rho, gamma
-
-
-def _hom_map(gn: Cotree, hn: Cotree) -> dict:
-    """Edge-preserving map of gn's graph into a maximum clique of hn's."""
-    coloring = optimal_coloring(gn)
-    clique = sorted(max_clique_leaves(hn))
-    return {v: clique[c] for v, c in coloring.items()}
-
-
 def tp_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
     """Decide whether h is a retract of g for trivially perfect inputs.
 
     Raises NotTriviallyPerfectError when either graph fails the class
     check.  YES answers carry a verified certificate; NO answers name the
-    failing condition (universal-count, clique-mismatch, matching-deficit
-    or unmatched-component).
+    failing condition (universal-count, clique-mismatch or
+    matching-deficit).
     """
-    solver = _TPSolver(g, h)
-    ok, reason = solver.decide(solver.tg, solver.th)
-    if not ok:
-        return NoRetract(reason or "no retraction")
-    rho_map, gamma_map = solver.certify(solver.tg, solver.th)
-    rho = tuple(rho_map[v] for v in range(g.n))
-    gamma = tuple(gamma_map[y] for y in range(h.n))
-    cert = RetractCertificate(rho=rho, gamma=gamma)
-    if not verify_retract_certificate(g, h, cert):
-        raise AssertionError("trivially-perfect solver produced an invalid certificate")
-    return cert
+    return cotree_pair_retract(g, h, _tp_cotree(g, "host"), _tp_cotree(h, "pattern"))

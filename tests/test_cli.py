@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -33,6 +34,9 @@ def files(tmp_path):
     write("p4.el", format_edge_list(P4))
     write("inst.txt", "2 16\n5 5 5 5 6 6\n")
     write("hset.txt", "0 1 2\n")
+    write("ids_word.txt", "0 x 1\n")
+    write("ids_range.txt", "5\n")
+    write("inst_bad.txt", "2 16\n5 five 5 5 6 6\n")
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -118,6 +122,26 @@ class TestRetractCommand:
                 runner, ["retract", files[pair[0]], files[pair[1]], "--solver", "oracle"]
             )
             assert code_a == code_o
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["retract", "@k3.ct", "--partitioned", "@ids_word.txt"],
+            ["retract", "@k3.ct", "--partitioned", "@ids_range.txt"],
+            ["retract", "@k3.ct", "--partitioned", "@missing.txt"],
+            ["retract", "--batch", "@missing.txt"],
+            ["reduce3p", "@inst_bad.txt", "@out"],
+        ],
+        ids=["ids-not-integer", "id-out-of-range", "ids-missing", "batch-missing", "bad-instance"],
+    )
+    def test_exit_2_with_message(self, runner, files, args):
+        args = [str(Path(files["dir"]) / a[1:]) if a.startswith("@") else a for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output
 
 
 class TestOtherCommands:

@@ -8,6 +8,7 @@ from cogret.cotree import NotCographError, build_cotree, clique_number
 from cogret.graph_core import (
     NoRetract,
     RetractCertificate,
+    graph_join,
     induced_subgraph,
     is_homomorphism,
     random_cograph,
@@ -29,6 +30,8 @@ from cogret.retract_cograph import (
 from tests.helpers import (
     BUTTERFLY,
     C4,
+    E,
+    K,
     K1,
     K2,
     K3,
@@ -125,6 +128,11 @@ class TestFpt:
         assert isinstance(fpt_retract(BUTTERFLY, PAW), NoRetract)
         assert isinstance(fpt_retract(C4, C4), RetractCertificate)
         assert isinstance(fpt_retract(C4, K2), RetractCertificate)
+        big = graph_join(C4, K(12))
+        cert = fpt_retract(big, K(14))
+        assert isinstance(cert, RetractCertificate)
+        assert verify_retract_certificate(big, K(14), cert)
+        assert isinstance(fpt_retract(graph_join(C4, K(8)), graph_join(E(3), K(9))), NoRetract)
 
     def test_exhaustive_small(self):
         graphs_g = [g for n in range(1, 6) for g in all_cographs(n)]
