@@ -22,11 +22,9 @@ from . import folding as folding_mod
 from . import oracle as oracle_mod
 from . import reduction as reduction_mod
 from .cotree import (
-    NOT_COGRAPH,
     NotCographError,
-    build_cotree,
+    _PreparedGraph,
     classify,
-    clique_number,
     cotree_leaves,
     cotree_to_graph,
     format_cotree,
@@ -45,12 +43,13 @@ from .graph_core import (
 )
 from .retract_cograph import (
     PartitionedInstance,
-    fpt_retract,
+    _prepared_cograph,
+    _retract_prepared,
+    cotree_pair_retract,
     partitioned_retract,
-    retract,
 )
-from .retract_threshold import NotThresholdError, threshold_retract
-from .retract_tp import NotTriviallyPerfectError, tp_retract
+from .retract_threshold import threshold_retract
+from .retract_tp import _prepared_tp
 
 
 class CommandError(click.ClickException):
@@ -165,6 +164,7 @@ def _solve_pair(
     g = _load_graph(g_path)
     started = time.perf_counter()
     report: dict = {"command": "retract", "inputs": {"g": _digest(g_path)}}
+    prepared = None
     try:
         if partitioned_path is not None:
             text = _read_text(partitioned_path)
@@ -179,13 +179,16 @@ def _solve_pair(
             assert h_path is not None
             h = _load_graph(h_path)
             report["inputs"]["h"] = _digest(h_path)
-            result, route = _run_solver(g, h, solver)
-    except (NotCographError, NotThresholdError, NotTriviallyPerfectError) as exc:
+            result, route, prepared = _run_solver(g, h, solver)
+    except (NotCographError, ValueError) as exc:
+        # ValueError covers the class errors of the forced routes and the
+        # empty graph, which has no class
         raise CommandError(str(exc))
+    pg, ph = prepared or (None, None)
     report.update(_cert_payload(result))
     report["route"] = route
-    report["omega_g"] = clique_number(build_cotree(g)) if g.n else 0
-    report["omega_h"] = clique_number(build_cotree(h)) if h.n else 0
+    report["omega_g"] = _omega(g, pg)
+    report["omega_h"] = _omega(h, ph)
     report["millis"] = round(1000 * (time.perf_counter() - started), 3)
     if isinstance(result, RetractCertificate):
         if not verify_retract_certificate(g, h, result):
@@ -195,20 +198,29 @@ def _solve_pair(
 
 
 def _run_solver(g: Graph, h: Graph, solver: str):
-    if solver == "auto":
-        return retract(g, h)
+    """Run the chosen route.  Returns (result, route, prepared); prepared
+    holds the two prepared graphs when the route made them, so the report
+    reads their clique numbers without building the cotrees again."""
     if solver == "threshold":
-        return threshold_retract(g, h), "threshold"
+        return threshold_retract(g, h), "threshold", None
+    if solver == "oracle":
+        budget = _budget_from_env() or oracle_mod.SearchBudget(max_vertices=12)
+        return oracle_mod.brute_retract(g, h, budget), "oracle", None
     if solver == "tp":
-        return tp_retract(g, h), "tp"
-    if solver == "fpt":
-        gc, hc = classify(g), classify(h)
-        if NOT_COGRAPH in (gc.name, hc.name):
-            bad = gc if gc.name == NOT_COGRAPH else hc
-            raise NotCographError(bad.witness)  # type: ignore[arg-type]
-        return fpt_retract(g, h), "fpt"
-    budget = _budget_from_env() or oracle_mod.SearchBudget(max_vertices=12)
-    return oracle_mod.brute_retract(g, h, budget), "oracle"
+        pg, ph = _prepared_tp(g, "host"), _prepared_tp(h, "pattern")
+    else:
+        pg, ph = _prepared_cograph(g), _prepared_cograph(h)
+    if solver == "auto":
+        result, route = _retract_prepared(pg, ph)
+    else:
+        result, route = cotree_pair_retract(g, h, pg.cotree, ph.cotree), solver
+    return result, route, (pg, ph)
+
+
+def _omega(g: Graph, prepared: _PreparedGraph | None) -> int:
+    if g.n == 0:
+        return 0
+    return (prepared or _PreparedGraph(g)).omega
 
 
 @main.command(name="classify")
@@ -216,7 +228,10 @@ def _run_solver(g: Graph, h: Graph, solver: str):
 def cmd_classify(g_path) -> None:
     """Report the smallest graph class of the input."""
     g = _load_graph(g_path)
-    cls = classify(g)
+    try:
+        cls = classify(g)
+    except ValueError as exc:
+        raise CommandError(f"{g_path}: {exc}")
     report = {
         "command": "classify",
         "inputs": {"g": _digest(g_path)},

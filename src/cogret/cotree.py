@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .graph_core import Graph
-from .retract_threshold import threshold_elimination
+from .retract_threshold import UNIVERSAL, threshold_elimination
 
 UNION = "U"
 JOIN = "J"
@@ -399,39 +399,79 @@ def classify(g: Graph) -> GraphClass:
     Threshold means repeated removal of a universal-or-isolated vertex
     empties the graph; trivially perfect means cograph without an induced
     C4.  Witnesses carry the forbidden subgraph blocking the next-smaller
-    class.
+    class.  Raises ValueError on the empty graph.
     """
-    try:
-        root = build_cotree(g)
-    except NotCographError as exc:
-        return GraphClass(NOT_COGRAPH, witness_kind="P4", witness=exc.witness)
-    c4 = None
+    return _PreparedGraph(g).cls
+
+
+class _PreparedGraph:
+    """One graph's class, threshold elimination order and cotree.
+
+    Classification tries the O(n log n) isolated/universal elimination
+    first (Chvatal and Hammer, 1977): a threshold graph gets its class and
+    its clique number without a cotree.  Any other graph is classified from
+    its cotree, which is kept.  The cotree is built on first use and at
+    most once, so the dispatcher, the solvers and the CLI report share it.
+    """
+
+    def __init__(self, g: Graph):
+        if g.n == 0:
+            raise ValueError("the empty graph has no cotree and no class")
+        self.g = g
+        self.order = threshold_elimination(g)
+        self._tree: Cotree | None = None
+        if self.order is not None:
+            self.cls = GraphClass(THRESHOLD)
+            return
+        try:
+            self._tree = build_cotree(g)
+        except NotCographError as exc:
+            self.cls = GraphClass(NOT_COGRAPH, witness_kind="P4", witness=exc.witness)
+        else:
+            self.cls = _cotree_class(self._tree)
+
+    @property
+    def cotree(self) -> Cotree:
+        """The cotree, built on first use; NotCographError if there is none."""
+        if self._tree is None:
+            if self.cls.name == NOT_COGRAPH:
+                raise NotCographError(self.cls.witness)  # type: ignore[arg-type]
+            self._tree = build_cotree(self.g)
+        return self._tree
+
+    @property
+    def omega(self) -> int:
+        """Clique number.  In a threshold graph the universal steps of the
+        elimination and its last vertex form a maximum clique."""
+        if self.order is not None:
+            return 1 + sum(1 for _, tag in self.order.steps if tag == UNIVERSAL)
+        return clique_number(self.cotree)
+
+
+def _cotree_class(root: Cotree) -> GraphClass:
+    """Class of a cograph that is not threshold, read off its cotree.
+
+    Kinds alternate, so a union's internal children are joins (each holds
+    an edge) and a join's internal children are unions (each holds a
+    non-edge).
+    """
     two_k2 = None
     for node in _postorder(root):
         if not isinstance(node, Internal):
             continue
         if node.kind == JOIN:
             incomplete = [c for c in node.children if not _is_complete_subtree(c)]
-            if len(incomplete) >= 2 and c4 is None:
+            if len(incomplete) >= 2:
                 a, b = _first_nonedge_in(incomplete[0])
                 c, d = _first_nonedge_in(incomplete[1])
-                c4 = (a, c, b, d)  # cycle order: a-c, c-b, b-d, d-a
-        else:
-            edgy = [c for c in node.children if not _edgeless_subtree(c)]
-            if len(edgy) >= 2 and two_k2 is None:
+                # cycle order: a-c, c-b, b-d, d-a
+                return GraphClass(COGRAPH, witness_kind="C4", witness=(a, c, b, d))
+        elif two_k2 is None:
+            edgy = [c for c in node.children if isinstance(c, Internal)]
+            if len(edgy) >= 2:
                 two_k2 = _first_edge_in(edgy[0]) + _first_edge_in(edgy[1])
-    if c4 is not None:
-        return GraphClass(COGRAPH, witness_kind="C4", witness=c4)
-    if two_k2 is not None:
-        return GraphClass(TRIVIALLY_PERFECT, witness_kind="2K2", witness=two_k2)
-    assert threshold_elimination(g) is not None
-    return GraphClass(THRESHOLD)
-
-
-def _edgeless_subtree(node: Cotree) -> bool:
-    return all(
-        not (isinstance(nd, Internal) and nd.kind == JOIN) for nd in _postorder(node)
-    )
+    assert two_k2 is not None, "threshold elimination and cotree disagree"
+    return GraphClass(TRIVIALLY_PERFECT, witness_kind="2K2", witness=two_k2)
 
 
 def is_trivially_perfect_cotree(root: Cotree) -> bool:
@@ -474,21 +514,20 @@ def canonical_key(root: Cotree) -> bytes:
 def format_cotree(root: Cotree) -> str:
     """Serialize per the grammar: INT or KIND '(' child (',' child)+ ')'."""
     parts: list[str] = []
-
-    def emit(node: Cotree) -> None:
-        # iterative would obscure this; tree text depth is desk-scale
-        if isinstance(node, Leaf):
-            parts.append(str(node.vertex))
+    stack: list[Cotree | str] = [root]  # nodes still to write, and punctuation
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(str(item.vertex))
         else:
-            parts.append(node.kind)
-            parts.append("(")
-            for i, c in enumerate(node.children):
+            parts.append(item.kind + "(")
+            stack.append(")")
+            for i in range(len(item.children) - 1, -1, -1):
+                stack.append(item.children[i])
                 if i:
-                    parts.append(",")
-                emit(c)
-            parts.append(")")
-
-    emit(root)
+                    stack.append(",")
     return "".join(parts)
 
 
@@ -496,43 +535,48 @@ def parse_cotree(text: str) -> Cotree:
     """Parse the cotree grammar; whitespace is ignored.
 
     Leaf ids must form a permutation of 0..n-1.  The result is normalized,
-    so same-kind nesting in the input is tolerated.
+    so same-kind nesting in the input is tolerated.  The parser keeps the
+    open internal nodes on a stack, so nesting depth is not limited by the
+    recursion limit.
     """
     s = "".join(text.split())
     pos = 0
-
-    def parse_node() -> Cotree:
-        nonlocal pos
+    open_nodes: list[tuple[str, list[Cotree]]] = []  # (kind, children so far)
+    while True:
         if pos >= len(s):
             raise CotreeError("unexpected end of cotree text")
         ch = s[pos]
         if ch in (UNION, JOIN):
-            kind = ch
             pos += 1
             if pos >= len(s) or s[pos] != "(":
                 raise CotreeError(f"expected '(' at position {pos}")
             pos += 1
-            children = [parse_node()]
-            while pos < len(s) and s[pos] == ",":
-                pos += 1
-                children.append(parse_node())
-            if pos >= len(s) or s[pos] != ")":
-                raise CotreeError(f"expected ')' at position {pos}")
-            pos += 1
-            if len(children) < 2:
-                raise CotreeError("internal node needs at least two children")
-            return Internal(kind, tuple(children))
+            open_nodes.append((ch, []))
+            continue
         start = pos
         while pos < len(s) and s[pos].isdigit():
             pos += 1
         if pos == start:
             raise CotreeError(f"expected leaf id or kind at position {pos}")
-        return Leaf(int(s[start:pos]))
-
-    root = parse_node()
+        node: Cotree = Leaf(int(s[start:pos]))
+        # attach the finished node; close every parent whose last child it is
+        while open_nodes:
+            open_nodes[-1][1].append(node)
+            if pos < len(s) and s[pos] == ",":
+                pos += 1
+                break
+            if pos >= len(s) or s[pos] != ")":
+                raise CotreeError(f"expected ')' at position {pos}")
+            pos += 1
+            kind, children = open_nodes.pop()
+            if len(children) < 2:
+                raise CotreeError("internal node needs at least two children")
+            node = Internal(kind, tuple(children))
+        else:
+            break
     if pos != len(s):
         raise CotreeError(f"trailing input at position {pos}")
-    root = normalize(root)
+    root = normalize(node)
     leaves = cotree_leaves(root)
     if sorted(leaves) != list(range(len(leaves))):
         raise CotreeError("leaf ids must be a permutation of 0..n-1")

@@ -35,9 +35,9 @@ from .cotree import (
     UNION,
     Cotree,
     NotCographError,
+    _PreparedGraph,
     _postorder,
     build_cotree,
-    classify,
     cotree_leaves,
     max_clique_leaves,
     optimal_coloring,
@@ -104,10 +104,18 @@ class _MNode:
         self.children: list[_MNode] = children or []
 
 
-def _to_mutable(node: Cotree) -> _MNode:
-    if isinstance(node, Leaf):
-        return _MNode("L", vertex=node.vertex)
-    return _MNode(node.kind, children=[_to_mutable(c) for c in node.children])
+def _to_mutable(root: Cotree) -> _MNode:
+    top = _MNode(UNION)  # a holder for the root
+    stack: list[tuple[Cotree, list[_MNode]]] = [(root, top.children)]
+    while stack:
+        node, siblings = stack.pop()
+        if isinstance(node, Leaf):
+            siblings.append(_MNode("L", vertex=node.vertex))
+        else:
+            mirror = _MNode(node.kind)
+            siblings.append(mirror)
+            stack.extend((c, mirror.children) for c in reversed(node.children))
+    return top.children[0]
 
 
 def _mutable_postorder(root: _MNode) -> list[_MNode]:
@@ -144,9 +152,14 @@ def _mutable_leaves(root: _MNode) -> list[int]:
 
 
 def _mutable_freeze(root: _MNode) -> Cotree:
-    if root.kind == "L":
-        return Leaf(root.vertex)
-    return Internal(root.kind, tuple(_mutable_freeze(c) for c in root.children))
+    frozen: dict[int, Cotree] = {}
+    for nd in _mutable_postorder(root):
+        frozen[id(nd)] = (
+            Leaf(nd.vertex)
+            if nd.kind == "L"
+            else Internal(nd.kind, tuple(frozen[id(c)] for c in nd.children))
+        )
+    return frozen[id(root)]
 
 
 def partitioned_retract(inst: PartitionedInstance) -> RetractCertificate | NoRetract:
@@ -560,19 +573,26 @@ def retract(g: Graph, h: Graph) -> tuple[RetractCertificate | NoRetract, str]:
     """Classify both inputs and dispatch to the right solver.
 
     Returns (result, route).  Raises NotCographError (with a P4 witness)
-    when either input is not a cograph.
+    when either input is not a cograph.  Each graph is prepared once:
+    threshold graphs are recognized by their elimination order without a
+    cotree, and the tp and fpt routes reuse the cotrees that
+    classification built.
     """
-    gc = classify(g)
-    if gc.name == NOT_COGRAPH:
-        raise NotCographError(gc.witness)  # type: ignore[arg-type]
-    hc = classify(h)
-    if hc.name == NOT_COGRAPH:
-        raise NotCographError(hc.witness)  # type: ignore[arg-type]
-    from .retract_tp import tp_retract  # retract_tp imports this module
+    return _retract_prepared(_prepared_cograph(g), _prepared_cograph(h))
 
-    route = solver_route(gc, hc)
+
+def _prepared_cograph(g: Graph) -> _PreparedGraph:
+    """The prepared graph, or NotCographError with its P4 witness."""
+    prepared = _PreparedGraph(g)
+    if prepared.cls.name == NOT_COGRAPH:
+        raise NotCographError(prepared.cls.witness)  # type: ignore[arg-type]
+    return prepared
+
+
+def _retract_prepared(
+    pg: _PreparedGraph, ph: _PreparedGraph
+) -> tuple[RetractCertificate | NoRetract, str]:
+    route = solver_route(pg.cls, ph.cls)
     if route == "threshold":
-        return threshold_retract(g, h), route
-    if route == "tp":
-        return tp_retract(g, h), route
-    return fpt_retract(g, h), route
+        return threshold_retract(pg.g, ph.g), route
+    return cotree_pair_retract(pg.g, ph.g, pg.cotree, ph.cotree), route

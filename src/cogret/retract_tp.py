@@ -14,12 +14,7 @@ host components.
 
 from __future__ import annotations
 
-from .cotree import (
-    Cotree,
-    NotCographError,
-    build_cotree,
-    is_trivially_perfect_cotree,
-)
+from .cotree import COGRAPH, NOT_COGRAPH, _PreparedGraph
 from .graph_core import Graph, NoRetract, RetractCertificate
 from .retract_cograph import cotree_pair_retract
 
@@ -33,16 +28,16 @@ def universal_vertices(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if g.degree(v) == g.n - 1)
 
 
-def _tp_cotree(g: Graph, what: str) -> Cotree:
-    try:
-        root = build_cotree(g)
-    except NotCographError as exc:
+def _prepared_tp(g: Graph, what: str) -> _PreparedGraph:
+    """The prepared graph, or NotTriviallyPerfectError naming its P4 or C4."""
+    prepared = _PreparedGraph(g)
+    if prepared.cls.name == NOT_COGRAPH:
         raise NotTriviallyPerfectError(
-            f"{what} graph contains an induced P4 on {exc.witness}"
-        ) from exc
-    if not is_trivially_perfect_cotree(root):
+            f"{what} graph contains an induced P4 on {prepared.cls.witness}"
+        )
+    if prepared.cls.name == COGRAPH:
         raise NotTriviallyPerfectError(f"{what} graph contains an induced C4")
-    return root
+    return prepared
 
 
 def tp_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
@@ -53,4 +48,5 @@ def tp_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
     failing condition (universal-count, clique-mismatch or
     matching-deficit).
     """
-    return cotree_pair_retract(g, h, _tp_cotree(g, "host"), _tp_cotree(h, "pattern"))
+    pg, ph = _prepared_tp(g, "host"), _prepared_tp(h, "pattern")
+    return cotree_pair_retract(g, h, pg.cotree, ph.cotree)

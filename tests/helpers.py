@@ -4,8 +4,11 @@ class, and deterministic random generators."""
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from functools import lru_cache
 
+from cogret import cotree as cotree_module
 from cogret.cotree import (
     Internal,
     JOIN,
@@ -133,6 +136,48 @@ def all_connected_cographs(n: int) -> list[Graph]:
     return [
         cotree_to_graph(_shape_to_cotree(s, [0])) for s in _shapes(n, JOIN)
     ]
+
+
+def cotree_chain(depth: int) -> Cotree:
+    """A cotree with `depth` internal nodes on one path, kinds alternating
+    (a threshold graph on depth + 1 vertices), built without recursion."""
+    node: Cotree = Leaf(0)
+    for i in range(1, depth + 1):
+        node = Internal(JOIN if i % 2 else UNION, (Leaf(i), node))
+    return node
+
+
+def cotree_shape(root: Cotree) -> list[tuple]:
+    """The ordered tree as a postorder list of (vertex) and (kind, arity)
+    entries, so deep trees compare without recursive __eq__."""
+    out: list[tuple] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append((node.vertex,))
+        else:
+            out.append((node.kind, len(node.children)))
+            stack.extend(node.children)
+    out.reverse()
+    return out
+
+
+def count_cotree_builds(monkeypatch) -> Counter:
+    """Send every cogret module's build_cotree through a counter; the
+    returned Counter maps id(graph) to the builds of that graph so far, so
+    the caller keeps the graphs it counts alive."""
+    original = cotree_module.build_cotree
+    builds: Counter = Counter()
+
+    def counted(g: Graph) -> Cotree:
+        builds[id(g)] += 1
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cogret" and getattr(module, "build_cotree", None) is original:
+            monkeypatch.setattr(module, "build_cotree", counted)
+    return builds
 
 
 # ---------------------------------------------------------------------------

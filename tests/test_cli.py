@@ -6,11 +6,22 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from cogret import cli
 from cogret.cli import main
-from cogret.cotree import build_cotree, format_cotree
+from cogret.cotree import build_cotree, clique_number, format_cotree
 from cogret.graph_core import format_edge_list, format_graph6, parse_edge_list
 
-from tests.helpers import BUTTERFLY, K2, K3, P4, PAW
+from tests.helpers import (
+    BUTTERFLY,
+    C4,
+    K2,
+    K3,
+    P4,
+    PAW,
+    all_cographs,
+    cotree_chain,
+    count_cotree_builds,
+)
 
 
 @pytest.fixture()
@@ -37,6 +48,9 @@ def files(tmp_path):
     write("ids_word.txt", "0 x 1\n")
     write("ids_range.txt", "5\n")
     write("inst_bad.txt", "2 16\n5 five 5 5 6 6\n")
+    write("empty.el", "0\n")
+    write("k2.el", format_edge_list(K2))
+    write("c4.el", format_edge_list(C4))
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -143,6 +157,57 @@ class TestInputErrors:
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["retract", "@empty.el", "@empty.el"],
+            ["retract", "@k2.el", "@empty.el"],
+            ["classify", "@empty.el"],
+        ],
+        ids=["retract-empty-empty", "retract-k2-empty", "classify-empty"],
+    )
+    def test_empty_graph_exit_2(self, runner, files, args):
+        args = [str(Path(files["dir"]) / a[1:]) if a.startswith("@") else a for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and "empty graph" in result.output
+
+
+class TestCotreeBuilds:
+    @pytest.mark.parametrize(
+        "g, h, solver, route, most",
+        [
+            ("paw.el", "k2.g6", "auto", "threshold", 0),
+            ("butterfly.ct", "k3.ct", "auto", "tp", 2),
+            ("c4.el", "k2.el", "auto", "fpt", 2),
+            ("butterfly.ct", "k3.ct", "tp", "tp", 2),
+            ("butterfly.ct", "paw.el", "fpt", "fpt", 2),
+        ],
+    )
+    def test_each_graph_built_at_most_once(
+        self, runner, files, monkeypatch, g, h, solver, route, most
+    ):
+        builds = count_cotree_builds(monkeypatch)
+        code, report = run_json(runner, ["retract", files[g], files[h], "--solver", solver])
+        assert code in (0, 1) and report["route"] == route
+        assert sum(builds.values()) <= most
+        assert all(count == 1 for count in builds.values())
+
+    def test_omegas_match_cotree_on_exhaustive_pairs(self, monkeypatch):
+        graphs_g = [g for n in range(1, 6) for g in all_cographs(n)]
+        graphs_h = [h for n in range(1, 5) for h in all_cographs(n)]
+        builds = count_cotree_builds(monkeypatch)
+        for g in graphs_g:
+            for h in graphs_h:
+                _, route, (pg, ph) = cli._run_solver(g, h, "auto")
+                before = sum(builds.values())
+                assert cli._omega(g, pg) == clique_number(build_cotree(g))
+                assert cli._omega(h, ph) == clique_number(build_cotree(h))
+                assert sum(builds.values()) == before  # the report adds no builds
+                assert before == 0 if route == "threshold" else max(builds.values()) == 1
+                builds.clear()
+
 
 class TestOtherCommands:
     def test_classify(self, runner, files):
@@ -150,6 +215,12 @@ class TestOtherCommands:
         assert code == 0 and report["class"] == "threshold"
         code, report = run_json(runner, ["classify", files["p4.el"]])
         assert report["class"] == "not_cograph" and len(report["witness"]) == 4
+
+    def test_classify_deep_cotree_file(self, runner, tmp_path):
+        deep = tmp_path / "deep.ct"
+        deep.write_text(format_cotree(cotree_chain(1300)) + "\n")
+        code, report = run_json(runner, ["classify", str(deep)])
+        assert code == 0 and report["class"] == "threshold"
 
     def test_folding(self, runner, files):
         code, report = run_json(runner, ["folding", files["paw.el"]])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from cogret.cotree import (
@@ -12,6 +14,7 @@ from cogret.cotree import (
     THRESHOLD,
     TRIVIALLY_PERFECT,
     UNION,
+    _PreparedGraph,
     build_cotree,
     canonical_key,
     chromatic_number,
@@ -38,9 +41,49 @@ from tests.helpers import (
     TWO_K2,
     all_cographs,
     all_cotrees,
+    cotree_chain,
+    cotree_shape,
+    count_cotree_builds,
     random_cotree,
     random_graph,
+    random_threshold_graph,
+    random_tp_graph,
 )
+
+
+def _all_graphs(n: int) -> list[Graph]:
+    pairs = list(combinations(range(n), 2))
+    return [
+        Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        for mask in range(1 << len(pairs))
+    ]
+
+
+# induced subgraphs on four vertices, by sorted degree sequence
+_FOUR_VERTEX_KINDS = {(1, 1, 2, 2): "P4", (2, 2, 2, 2): "C4", (1, 1, 1, 1): "2K2"}
+# the edges each witness must induce, as positions in the witness tuple:
+# P4 in path order, C4 in cycle order, 2K2 as two pairs
+_WITNESS_EDGES = {
+    "P4": {(0, 1), (1, 2), (2, 3)},
+    "C4": {(0, 1), (1, 2), (2, 3), (0, 3)},
+    "2K2": {(0, 1), (2, 3)},
+}
+
+
+def _brute_class(g: Graph) -> str:
+    """Smallest class by the forbidden induced subgraphs: P4 for cographs,
+    C4 as well for trivially perfect graphs, 2K2 as well for threshold."""
+    kinds = set()
+    for quad in combinations(range(g.n), 4):
+        degrees = tuple(sorted(sum(g.has_edge(v, u) for u in quad) for v in quad))
+        kinds.add(_FOUR_VERTEX_KINDS.get(degrees))
+    if "P4" in kinds:
+        return NOT_COGRAPH
+    if "C4" in kinds:
+        return COGRAPH
+    if "2K2" in kinds:
+        return TRIVIALLY_PERFECT
+    return THRESHOLD
 
 
 class TestBuildCotree:
@@ -209,11 +252,67 @@ class TestClassify:
         assert classify(TWO_K2).name == COGRAPH or classify(TWO_K2).name == TRIVIALLY_PERFECT
         assert classify(TWO_K2).name == TRIVIALLY_PERFECT
 
+    def test_matches_forbidden_subgraph_search_exhaustively(self):
+        graphs = [g for n in range(1, 6) for g in _all_graphs(n)] + all_cographs(6)
+        expected_kind = {NOT_COGRAPH: "P4", COGRAPH: "C4", TRIVIALLY_PERFECT: "2K2"}
+        for g in graphs:
+            cls = classify(g)
+            assert cls.name == _brute_class(g), g.edges
+            if cls.name == THRESHOLD:
+                assert cls.witness is None
+                continue
+            assert cls.witness_kind == expected_kind[cls.name]
+            w = cls.witness
+            assert len(set(w)) == 4
+            induced = {
+                (i, j) for i, j in combinations(range(4), 2) if g.has_edge(w[i], w[j])
+            }
+            assert induced == _WITNESS_EDGES[cls.witness_kind]
+
+    def test_empty_graph_has_no_class(self):
+        with pytest.raises(ValueError):
+            classify(Graph(0))
+
     def test_agrees_with_elimination_exhaustively(self):
         for n in range(1, 7):
             for g in all_cographs(n):
                 is_threshold = classify(g).name == THRESHOLD
                 assert is_threshold == (threshold_elimination(g) is not None)
+
+
+class TestPreparedGraph:
+    def test_omega_matches_cotree_exhaustively(self):
+        for n in range(1, 8):
+            for g in all_cographs(n):
+                assert _PreparedGraph(g).omega == clique_number(build_cotree(g))
+
+    def test_threshold_graphs_build_no_cotree(self, monkeypatch):
+        builds = count_cotree_builds(monkeypatch)
+        for seed in range(20):
+            g = random_threshold_graph(seed * 10 + 1, seed)
+            prepared = _PreparedGraph(g)
+            assert prepared.cls.name == THRESHOLD
+            prepared.omega
+        assert sum(builds.values()) == 0
+
+    def test_cotree_built_at_most_once(self, monkeypatch):
+        builds = count_cotree_builds(monkeypatch)
+        graphs = [
+            make(30, seed)
+            for seed in range(20)
+            for make in (random_threshold_graph, random_tp_graph)
+        ]
+        for g in graphs:
+            prepared = _PreparedGraph(g)
+            assert prepared.cotree is prepared.cotree
+            assert prepared.omega == clique_number(prepared.cotree)
+            assert builds[id(g)] == 1
+
+    def test_not_cograph_keeps_its_witness(self):
+        prepared = _PreparedGraph(P4)
+        with pytest.raises(NotCographError) as err:
+            prepared.cotree
+        assert err.value.witness == prepared.cls.witness
 
 
 class TestCanonicalKey:
@@ -286,6 +385,14 @@ class TestTextFormat:
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_cotree(bad)
+
+    def test_deep_roundtrip(self):
+        t = cotree_chain(5000)
+        text = format_cotree(t)
+        assert text.count("(") == 5000
+        back = parse_cotree(text)
+        assert cotree_shape(back) == cotree_shape(t)
+        assert format_cotree(back) == text
 
     def test_same_kind_nesting_normalized(self):
         t = parse_cotree("J(0,J(1,2))")

@@ -38,6 +38,11 @@ from tests.helpers import (
     P4,
     PAW,
     all_cographs,
+    cotree_chain,
+    cotree_shape,
+    count_cotree_builds,
+    random_threshold_graph,
+    random_tp_graph,
 )
 
 
@@ -121,6 +126,12 @@ class TestPartitioned:
             assert isinstance(before, NoRetract) == isinstance(after, NoRetract)
         assert checked > 100
 
+    def test_mutable_mirror_roundtrip_at_depth(self):
+        from cogret.retract_cograph import _mutable_freeze, _to_mutable
+
+        t = cotree_chain(5000)
+        assert cotree_shape(_mutable_freeze(_to_mutable(t))) == cotree_shape(t)
+
 
 class TestFpt:
     def test_examples(self):
@@ -171,6 +182,34 @@ class TestDispatcher:
         with pytest.raises(NotCographError) as err:
             retract(P4, K2)
         assert len(err.value.witness) == 4
+
+    def test_threshold_pairs_build_no_cotree(self, monkeypatch):
+        builds = count_cotree_builds(monkeypatch)
+        for seed in range(10):
+            g = random_threshold_graph(200, seed)
+            h = random_threshold_graph(40, seed + 100)
+            assert retract(g, h)[1] == "threshold"
+        assert sum(builds.values()) == 0
+
+    def test_tp_and_fpt_pairs_build_each_cotree_once(self, monkeypatch):
+        builds = count_cotree_builds(monkeypatch)
+        pairs = [
+            (random_tp_graph(120, seed), random_tp_graph(30, seed + 100))
+            for seed in range(5)
+        ]
+        pairs += [
+            (random_threshold_graph(80, seed), random_tp_graph(20, seed)) for seed in range(5)
+        ]
+        pairs += [
+            (random_cograph(40, seed), random_cograph(8, seed + 1)) for seed in range(5)
+        ]
+        pairs += [(C4, K2), (BUTTERFLY, PAW), (BUTTERFLY, K3)]
+        for g, h in pairs:
+            builds.clear()
+            _, route = retract(g, h)
+            assert route in ("tp", "fpt")
+            assert set(builds) <= {id(g), id(h)}
+            assert max(builds.values()) == 1
 
     def test_solver_agreement_across_routes(self):
         # wherever the specialized solvers apply, all routes agree
