@@ -43,6 +43,7 @@ from .graph_core import (
 )
 from .retract_cograph import (
     PartitionedInstance,
+    _partitioned_on_cotree,
     _prepared_cograph,
     _retract_prepared,
     cotree_pair_retract,
@@ -164,7 +165,7 @@ def _solve_pair(
     g = _load_graph(g_path)
     started = time.perf_counter()
     report: dict = {"command": "retract", "inputs": {"g": _digest(g_path)}}
-    prepared = None
+    pg = ph = None
     try:
         if partitioned_path is not None:
             text = _read_text(partitioned_path)
@@ -173,22 +174,28 @@ def _solve_pair(
             except ValueError as exc:
                 raise CommandError(f"{partitioned_path}: {exc}")
             h, _ = induced_subgraph(g, inst.hset)
-            result = partitioned_retract(inst)
+            if inst.hset:
+                pg = _prepared_cograph(g)
+                result = _partitioned_on_cotree(g, pg.cotree, inst.hset)
+            else:
+                result = partitioned_retract(inst)  # the empty-pattern answers
             route = "partitioned"
         else:
             assert h_path is not None
             h = _load_graph(h_path)
             report["inputs"]["h"] = _digest(h_path)
             result, route, prepared = _run_solver(g, h, solver)
+            pg, ph = prepared or (None, None)
+        # inside the try: the oracle answers on a non-cograph, whose omega raises
+        omega_g, omega_h = _omega(g, pg), _omega(h, ph)
     except (NotCographError, ValueError) as exc:
         # ValueError covers the class errors of the forced routes and the
         # empty graph, which has no class
         raise CommandError(str(exc))
-    pg, ph = prepared or (None, None)
     report.update(_cert_payload(result))
     report["route"] = route
-    report["omega_g"] = _omega(g, pg)
-    report["omega_h"] = _omega(h, ph)
+    report["omega_g"] = omega_g
+    report["omega_h"] = omega_h
     report["millis"] = round(1000 * (time.perf_counter() - started), 3)
     if isinstance(result, RetractCertificate):
         if not verify_retract_certificate(g, h, result):

@@ -333,9 +333,11 @@ def is_homomorphism(g: Graph, h: Graph, phi: VertexMap) -> bool:
         return False
     if any(not (0 <= x < h.n) for x in phi):
         return False
-    for u, v in g.edges():
-        if not h.has_edge(phi[u], phi[v]):
-            return False
+    for u, nbrs in enumerate(g.adjacency):
+        image = h.adjacency[phi[u]]
+        for v in nbrs:
+            if u < v and phi[v] not in image:
+                return False
     return True
 
 

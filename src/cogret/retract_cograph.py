@@ -3,7 +3,9 @@ the cotree-pair retract solver and the front-door dispatcher.
 
 Cographs are perfect, so a homomorphism between them exists exactly when
 the source's chromatic number is at most the target's clique number.  The
-partitioned solver prunes the host's cotree.
+partitioned solver prunes the host's cotree in one pass each way: folding
+a pattern-free union child into a sibling at least as wide changes no
+clique number, so each union decides which children stay on its own.
 
 One cotree-pair solver serves both the trivially perfect route
 (`tp_retract`, a class check in front of it) and the general route
@@ -50,7 +52,7 @@ from .graph_core import (
     verify_retract_certificate,
 )
 from .matching import BipartiteInstance, max_matching, saturates_right
-from .retract_threshold import threshold_retract
+from .retract_threshold import _solve_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -93,161 +95,103 @@ class PartitionedInstance:
                 raise ValueError(f"pattern vertex {v} out of range")
 
 
-class _MNode:
-    """Mutable cotree mirror used by the pruning fixpoint."""
-
-    __slots__ = ("kind", "vertex", "children")
-
-    def __init__(self, kind: str, vertex: int = -1, children=None):
-        self.kind = kind  # "L", UNION or JOIN
-        self.vertex = vertex
-        self.children: list[_MNode] = children or []
-
-
-def _to_mutable(root: Cotree) -> _MNode:
-    top = _MNode(UNION)  # a holder for the root
-    stack: list[tuple[Cotree, list[_MNode]]] = [(root, top.children)]
-    while stack:
-        node, siblings = stack.pop()
-        if isinstance(node, Leaf):
-            siblings.append(_MNode("L", vertex=node.vertex))
-        else:
-            mirror = _MNode(node.kind)
-            siblings.append(mirror)
-            stack.extend((c, mirror.children) for c in reversed(node.children))
-    return top.children[0]
-
-
-def _mutable_postorder(root: _MNode) -> list[_MNode]:
-    out: list[_MNode] = []
-    stack = [root]
-    while stack:
-        nd = stack.pop()
-        out.append(nd)
-        stack.extend(nd.children)
-    out.reverse()
-    return out
-
-
-def _mutable_normalize(root: _MNode) -> _MNode:
-    for nd in _mutable_postorder(root):
-        if nd.kind == "L":
-            continue
-        flat: list[_MNode] = []
-        for c in nd.children:
-            if c.kind == nd.kind:
-                flat.extend(c.children)
-            else:
-                flat.append(c)
-        if len(flat) == 1:
-            only = flat[0]
-            nd.kind, nd.vertex, nd.children = only.kind, only.vertex, only.children
-        else:
-            nd.children = flat
-    return root
-
-
-def _mutable_leaves(root: _MNode) -> list[int]:
-    return [nd.vertex for nd in _mutable_postorder(root) if nd.kind == "L"]
-
-
-def _mutable_freeze(root: _MNode) -> Cotree:
-    frozen: dict[int, Cotree] = {}
-    for nd in _mutable_postorder(root):
-        frozen[id(nd)] = (
-            Leaf(nd.vertex)
-            if nd.kind == "L"
-            else Internal(nd.kind, tuple(frozen[id(c)] for c in nd.children))
-        )
-    return frozen[id(root)]
-
-
 def partitioned_retract(inst: PartitionedInstance) -> RetractCertificate | NoRetract:
     """Decide a retraction onto an induced-subgraph pattern by cotree pruning.
 
-    Repeatedly remove a child of a union node that has no pattern leaves
-    and whose clique number is at most a current sibling's; clique numbers
-    are recomputed after every removal.  YES exactly when only pattern
-    vertices remain; the certificate's co-retraction is the inclusion and
-    the retraction routes each pruned branch into its dominating sibling.
+    A child of a union that has no pattern leaves folds into a sibling of
+    at least its clique number.  Such a fold changes no clique number, so
+    one pass over the host's cotree decides what repeated folding keeps.
+    At a union, every pattern-free child goes except the last one of the
+    largest clique number, and that one stays only when its clique number
+    exceeds every pattern-bearing child's.  Joins keep all their children.
+    YES exactly when only pattern vertices stay; the certificate's
+    co-retraction is the inclusion and the retraction colors each pruned
+    branch onto a maximum clique of its widest pattern-bearing sibling,
+    then follows that sibling's retraction.  Raises NotCographError (with
+    a P4 witness) when the host is not a cograph.
     """
     g, hset = inst.g, inst.hset
     if not hset:
         if g.n == 0:
             return RetractCertificate(rho=(), gamma=())
         return NoRetract("empty pattern set")
-    root = _to_mutable(build_cotree(g))
-    prune_events: list[tuple[list[int], dict[int, int]]] = []
+    return _partitioned_on_cotree(g, _prepared_cograph(g).cotree, hset)
 
-    while True:
-        event = _find_and_prune(root, hset)
-        if event is None:
-            break
-        prune_events.append(event)
-        root = _mutable_normalize(root)
 
-    remaining = set(_mutable_leaves(root))
-    if remaining != set(hset):
-        return NoRetract(
-            "pruning fixpoint keeps vertices outside the pattern",
-            tuple(sorted(remaining - set(hset))),
-        )
-
-    # resolve pruned vertices through later events back into the pattern
+def _partitioned_on_cotree(
+    g: Graph, tree: Cotree, hset: frozenset[int]
+) -> RetractCertificate | NoRetract:
+    """partitioned_retract from g's cotree, for a nonempty pattern set."""
+    folds, kept = _prune_plan(tree, hset)
+    if kept:
+        return NoRetract("pruning fixpoint keeps vertices outside the pattern", tuple(kept))
+    # a fold's clique lies in its sibling, whose own folds come later in
+    # the list, so walking the folds backwards finds the clique resolved
     resolve: dict[int, int] = {v: v for v in hset}
-    for vertices, hom in reversed(prune_events):
-        for v in vertices:
-            resolve[v] = resolve[hom[v]]
-    old = tuple(sorted(hset))
-    index = {v: i for i, v in enumerate(old)}
-    rho = tuple(index[resolve[v]] for v in range(g.n))
-    cert = RetractCertificate(rho=rho, gamma=old)
+    for branch, clique in reversed(folds):
+        resolve.update(_coloring_into(branch, [resolve[v] for v in clique]))
+    gamma = tuple(sorted(hset))
+    index = {v: i for i, v in enumerate(gamma)}
+    cert = RetractCertificate(rho=tuple(index[resolve[v]] for v in range(g.n)), gamma=gamma)
     h, _ = induced_subgraph(g, hset)
     if not verify_retract_certificate(g, h, cert):
         raise AssertionError("partitioned solver produced an invalid certificate")
     return cert
 
 
-def _find_and_prune(root: _MNode, hset: frozenset[int]) -> tuple[list[int], dict[int, int]] | None:
-    """Remove the first prunable union-node child in preorder, if any.
+def _prune_plan(
+    tree: Cotree, hset: frozenset[int]
+) -> tuple[list[tuple[Cotree, tuple[int, ...]]], list[int]]:
+    """What repeated pruning of tree keeps, from one pass up and one down.
 
-    Returns (removed vertices, hom map into the dominating sibling).
+    Returns the pruned branches, ancestors before descendants, each with a
+    maximum clique of the widest kept sibling it folds into, and the
+    sorted non-pattern vertices that are kept.
     """
     omega: dict[int, int] = {}
     has_h: dict[int, bool] = {}
-    for nd in _mutable_postorder(root):
-        if nd.kind == "L":
-            omega[id(nd)] = 1
-            has_h[id(nd)] = nd.vertex in hset
+    clique: dict[int, tuple[int, ...]] = {}
+    for node in _postorder(tree):
+        key = id(node)
+        if isinstance(node, Leaf):
+            omega[key], has_h[key], clique[key] = 1, node.vertex in hset, (node.vertex,)
+            continue
+        kids = [id(c) for c in node.children]
+        has_h[key] = any(has_h[c] for c in kids)
+        if node.kind == UNION:
+            widest = max(kids, key=omega.__getitem__)
+            omega[key], clique[key] = omega[widest], clique[widest]
         else:
-            child_omegas = [omega[id(c)] for c in nd.children]
-            omega[id(nd)] = (
-                max(child_omegas) if nd.kind == UNION else sum(child_omegas)
-            )
-            has_h[id(nd)] = any(has_h[id(c)] for c in nd.children)
+            omega[key] = sum(omega[c] for c in kids)
+            # at most one longer than the edges this join adds, so all the
+            # cliques together take time linear in the size of the graph
+            clique[key] = tuple(v for c in kids for v in clique[c])
 
-    stack = [root]
+    folds: list[tuple[Cotree, tuple[int, ...]]] = []
+    kept: list[int] = []
+    stack = [tree]
     while stack:
-        nd = stack.pop()
-        if nd.kind == UNION:
-            for pos, child in enumerate(nd.children):
-                if has_h[id(child)]:
-                    continue
-                sibling = None
-                for other in nd.children:
-                    if other is not child and omega[id(other)] >= omega[id(child)]:
-                        sibling = other
-                        break
-                if sibling is None:
-                    continue
-                nd.children.pop(pos)
-                branch = _mutable_freeze(child)
-                target = _mutable_freeze(sibling)
-                hom = _coloring_into(branch, sorted(max_clique_leaves(target)))
-                return _mutable_leaves(child), hom
-        if nd.kind != "L":
-            stack.extend(reversed(nd.children))
-    return None
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            if node.vertex not in hset:
+                kept.append(node.vertex)
+            continue
+        if node.kind == JOIN:
+            stack.extend(node.children)
+            continue
+        stay = [c for c in node.children if has_h[id(c)]]
+        free = [c for c in node.children if not has_h[id(c)]]
+        if free:
+            last = max(reversed(free), key=lambda c: omega[id(c)])
+            if all(omega[id(c)] < omega[id(last)] for c in stay):
+                stay.append(last)
+                free = [c for c in free if c is not last]
+        # ties go to a pattern-bearing child, which comes first in stay
+        target = clique[id(max(stay, key=lambda c: omega[id(c)]))]
+        folds.extend((c, target) for c in free)
+        stack.extend(stay)
+    kept.sort()
+    return folds, kept
 
 
 # ---------------------------------------------------------------------------
@@ -594,5 +538,5 @@ def _retract_prepared(
 ) -> tuple[RetractCertificate | NoRetract, str]:
     route = solver_route(pg.cls, ph.cls)
     if route == "threshold":
-        return threshold_retract(pg.g, ph.g), route
+        return _solve_threshold(pg.g, ph.g), route
     return cotree_pair_retract(pg.g, ph.g, pg.cotree, ph.cotree), route

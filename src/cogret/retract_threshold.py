@@ -123,7 +123,11 @@ def threshold_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
         raise NotThresholdError("host graph is not a threshold graph")
     if threshold_elimination(h) is None:
         raise NotThresholdError("pattern graph is not a threshold graph")
+    return _solve_threshold(g, h)
 
+
+def _solve_threshold(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
+    """threshold_retract for inputs the caller knows to be threshold graphs."""
     rho = [-1] * g.n
     gamma = [-1] * h.n
     rg = _Residue(g)

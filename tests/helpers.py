@@ -9,6 +9,7 @@ from collections import Counter
 from functools import lru_cache
 
 from cogret import cotree as cotree_module
+from cogret import retract_threshold as threshold_module
 from cogret.cotree import (
     Internal,
     JOIN,
@@ -167,17 +168,27 @@ def count_cotree_builds(monkeypatch) -> Counter:
     """Send every cogret module's build_cotree through a counter; the
     returned Counter maps id(graph) to the builds of that graph so far, so
     the caller keeps the graphs it counts alive."""
-    original = cotree_module.build_cotree
-    builds: Counter = Counter()
+    return _count_calls(monkeypatch, "build_cotree", cotree_module.build_cotree)
 
-    def counted(g: Graph) -> Cotree:
-        builds[id(g)] += 1
+
+def count_eliminations(monkeypatch) -> Counter:
+    """count_cotree_builds for threshold_elimination."""
+    return _count_calls(
+        monkeypatch, "threshold_elimination", threshold_module.threshold_elimination
+    )
+
+
+def _count_calls(monkeypatch, name: str, original) -> Counter:
+    calls: Counter = Counter()
+
+    def counted(g: Graph):
+        calls[id(g)] += 1
         return original(g)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cogret" and getattr(module, "build_cotree", None) is original:
-            monkeypatch.setattr(module, "build_cotree", counted)
-    return builds
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "cogret" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------

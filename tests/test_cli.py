@@ -14,6 +14,7 @@ from cogret.graph_core import format_edge_list, format_graph6, parse_edge_list
 from tests.helpers import (
     BUTTERFLY,
     C4,
+    K1,
     K2,
     K3,
     P4,
@@ -50,6 +51,7 @@ def files(tmp_path):
     write("inst_bad.txt", "2 16\n5 five 5 5 6 6\n")
     write("empty.el", "0\n")
     write("k2.el", format_edge_list(K2))
+    write("k1.el", format_edge_list(K1))
     write("c4.el", format_edge_list(C4))
     paths["dir"] = str(tmp_path)
     return paths
@@ -147,8 +149,16 @@ class TestInputErrors:
             ["retract", "@k3.ct", "--partitioned", "@missing.txt"],
             ["retract", "--batch", "@missing.txt"],
             ["reduce3p", "@inst_bad.txt", "@out"],
+            ["retract", "@p4.el", "@k1.el", "--solver", "oracle"],
         ],
-        ids=["ids-not-integer", "id-out-of-range", "ids-missing", "batch-missing", "bad-instance"],
+        ids=[
+            "ids-not-integer",
+            "id-out-of-range",
+            "ids-missing",
+            "batch-missing",
+            "bad-instance",
+            "oracle-not-cograph",
+        ],
     )
     def test_exit_2_with_message(self, runner, files, args):
         args = [str(Path(files["dir"]) / a[1:]) if a.startswith("@") else a for a in args]
@@ -193,6 +203,17 @@ class TestCotreeBuilds:
         assert code in (0, 1) and report["route"] == route
         assert sum(builds.values()) <= most
         assert all(count == 1 for count in builds.values())
+
+    def test_partitioned_builds_host_once(self, runner, files, monkeypatch):
+        builds = count_cotree_builds(monkeypatch)
+        code, report = run_json(
+            runner, ["retract", files["butterfly.ct"], "--partitioned", files["hset.txt"]]
+        )
+        assert code == 0 and report["route"] == "partitioned"
+        assert report["omega_g"] == report["omega_h"] == 3
+        # the host is trivially perfect, so classifying it builds its
+        # cotree; the pattern is a triangle, which is threshold
+        assert list(builds.values()) == [1]
 
     def test_omegas_match_cotree_on_exhaustive_pairs(self, monkeypatch):
         graphs_g = [g for n in range(1, 6) for g in all_cographs(n)]

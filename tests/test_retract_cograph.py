@@ -1,14 +1,22 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
-from cogret.cotree import NotCographError, build_cotree, clique_number
+from cogret.cotree import (
+    NotCographError,
+    build_cotree,
+    clique_number,
+    cotree_leaves,
+    cotree_to_graph,
+)
 from cogret.graph_core import (
     NoRetract,
     RetractCertificate,
     graph_join,
+    graph_union,
     induced_subgraph,
     is_homomorphism,
     random_cograph,
@@ -21,6 +29,8 @@ from cogret.oracle import (
 )
 from cogret.retract_cograph import (
     PartitionedInstance,
+    _partitioned_on_cotree,
+    _prune_plan,
     fpt_retract,
     hom_exists,
     partitioned_retract,
@@ -39,8 +49,8 @@ from tests.helpers import (
     PAW,
     all_cographs,
     cotree_chain,
-    cotree_shape,
     count_cotree_builds,
+    count_eliminations,
     random_threshold_graph,
     random_tp_graph,
 )
@@ -88,6 +98,15 @@ class TestPartitioned:
         assert isinstance(result, NoRetract)
         assert result.detail == (4,)
 
+    def test_no_detail_keeps_last_widest_branch(self):
+        # K1 + K2 + K2 onto the K1: of the two equally wide edges, the
+        # one later in child order stays
+        g = graph_union(K1, graph_union(K2, K2))
+        result = partitioned_retract(PartitionedInstance(g, frozenset({0})))
+        assert result == NoRetract(
+            "pruning fixpoint keeps vertices outside the pattern", (3, 4)
+        )
+
     def test_whole_vertex_set_identity(self):
         cert = partitioned_retract(PartitionedInstance(BUTTERFLY, frozenset(range(5))))
         assert cert.rho == (0, 1, 2, 3, 4)
@@ -105,32 +124,44 @@ class TestPartitioned:
                 assert verify_retract_certificate(g, h, fast)
 
     def test_single_prune_step_preserves_answer(self):
-        # removing one prunable branch never changes the restricted answer
+        # removing any one branch the pass prunes never changes the restricted answer
         rng = random.Random("prune-invariance")
-        from cogret.retract_cograph import _find_and_prune, _to_mutable, _mutable_leaves
-
         checked = 0
         for _ in range(300):
             g = random_cograph(rng.randint(2, 7), rng.randrange(10 ** 6))
             hset = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
-            root = _to_mutable(build_cotree(g))
-            event = _find_and_prune(root, hset)
-            if event is None:
+            folds, _ = _prune_plan(build_cotree(g), hset)
+            if not folds:
                 continue
             checked += 1
-            keep = sorted(_mutable_leaves(root))
-            reduced, table = induced_subgraph(g, keep)
-            reduced_hset = frozenset(table.index(v) for v in hset)
             before = brute_partitioned_retract(g, hset)
-            after = brute_partitioned_retract(reduced, reduced_hset)
-            assert isinstance(before, NoRetract) == isinstance(after, NoRetract)
+            for branch, clique in folds:
+                assert len(clique) >= clique_number(branch)
+                gone = set(cotree_leaves(branch))
+                reduced, table = induced_subgraph(g, [v for v in range(g.n) if v not in gone])
+                after = brute_partitioned_retract(reduced, frozenset(table.index(v) for v in hset))
+                assert isinstance(before, NoRetract) == isinstance(after, NoRetract)
         assert checked > 100
 
-    def test_mutable_mirror_roundtrip_at_depth(self):
-        from cogret.retract_cograph import _mutable_freeze, _to_mutable
-
-        t = cotree_chain(5000)
-        assert cotree_shape(_mutable_freeze(_to_mutable(t))) == cotree_shape(t)
+    def test_answers_on_deep_cotree_without_recursion(self):
+        # chain vertex i hangs at level i: odd levels are joins, even ones unions
+        depth = 1200
+        tree = cotree_chain(depth)
+        g = cotree_to_graph(tree)
+        yes_set = frozenset([0] + list(range(1, depth + 1, 2)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            cert = _partitioned_on_cotree(g, tree, yes_set)
+            no = _partitioned_on_cotree(g, tree, frozenset({0}))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(cert, RetractCertificate)
+        # every union leaf folds into the chain below it; join leaves stay
+        assert no == NoRetract(
+            "pruning fixpoint keeps vertices outside the pattern",
+            tuple(range(1, depth + 1, 2)),
+        )
 
 
 class TestFpt:
@@ -190,6 +221,15 @@ class TestDispatcher:
             h = random_threshold_graph(40, seed + 100)
             assert retract(g, h)[1] == "threshold"
         assert sum(builds.values()) == 0
+
+    def test_threshold_pairs_eliminate_each_graph_once(self, monkeypatch):
+        eliminations = count_eliminations(monkeypatch)
+        for seed in range(10):
+            g = random_threshold_graph(200, seed)
+            h = random_threshold_graph(40, seed + 100)
+            eliminations.clear()
+            assert retract(g, h)[1] == "threshold"
+            assert eliminations == {id(g): 1, id(h): 1}
 
     def test_tp_and_fpt_pairs_build_each_cotree_once(self, monkeypatch):
         builds = count_cotree_builds(monkeypatch)
