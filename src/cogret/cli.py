@@ -22,12 +22,14 @@ from . import folding as folding_mod
 from . import oracle as oracle_mod
 from . import reduction as reduction_mod
 from .cotree import (
+    THRESHOLD,
     NotCographError,
     _PreparedGraph,
     classify,
     cotree_leaves,
     cotree_to_graph,
     format_cotree,
+    omega_table,
     parse_cotree,
 )
 from .graph_core import (
@@ -49,7 +51,7 @@ from .retract_cograph import (
     cotree_pair_retract,
     partitioned_retract,
 )
-from .retract_threshold import threshold_retract
+from .retract_threshold import NotThresholdError, _solve_threshold
 from .retract_tp import _prepared_tp
 
 
@@ -165,7 +167,6 @@ def _solve_pair(
     g = _load_graph(g_path)
     started = time.perf_counter()
     report: dict = {"command": "retract", "inputs": {"g": _digest(g_path)}}
-    pg = ph = None
     try:
         if partitioned_path is not None:
             text = _read_text(partitioned_path)
@@ -177,8 +178,10 @@ def _solve_pair(
             if inst.hset:
                 pg = _prepared_cograph(g)
                 result = _partitioned_on_cotree(g, pg.cotree, inst.hset)
+                omega_g, omega_h = pg.omega, omega_table(pg.cotree, inst.hset)[id(pg.cotree)]
             else:
                 result = partitioned_retract(inst)  # the empty-pattern answers
+                omega_g, omega_h = _omega(g, None), 0
             route = "partitioned"
         else:
             assert h_path is not None
@@ -186,8 +189,8 @@ def _solve_pair(
             report["inputs"]["h"] = _digest(h_path)
             result, route, prepared = _run_solver(g, h, solver)
             pg, ph = prepared or (None, None)
-        # inside the try: the oracle answers on a non-cograph, whose omega raises
-        omega_g, omega_h = _omega(g, pg), _omega(h, ph)
+            # inside the try: the oracle answers on a non-cograph, whose omega raises
+            omega_g, omega_h = _omega(g, pg), _omega(h, ph)
     except (NotCographError, ValueError) as exc:
         # ValueError covers the class errors of the forced routes and the
         # empty graph, which has no class
@@ -209,7 +212,8 @@ def _run_solver(g: Graph, h: Graph, solver: str):
     holds the two prepared graphs when the route made them, so the report
     reads their clique numbers without building the cotrees again."""
     if solver == "threshold":
-        return threshold_retract(g, h), "threshold", None
+        pg, ph = _prepared_threshold(g, "host"), _prepared_threshold(h, "pattern")
+        return _solve_threshold(g, h), "threshold", (pg, ph)
     if solver == "oracle":
         budget = _budget_from_env() or oracle_mod.SearchBudget(max_vertices=12)
         return oracle_mod.brute_retract(g, h, budget), "oracle", None
@@ -222,6 +226,14 @@ def _run_solver(g: Graph, h: Graph, solver: str):
     else:
         result, route = cotree_pair_retract(g, h, pg.cotree, ph.cotree), solver
     return result, route, (pg, ph)
+
+
+def _prepared_threshold(g: Graph, what: str) -> _PreparedGraph | None:
+    """The prepared threshold graph (None if empty), or NotThresholdError."""
+    prepared = _PreparedGraph(g) if g.n else None
+    if prepared and prepared.cls.name != THRESHOLD:
+        raise NotThresholdError(f"{what} graph is not a threshold graph")
+    return prepared
 
 
 def _omega(g: Graph, prepared: _PreparedGraph | None) -> int:

@@ -81,88 +81,67 @@ def cotree_size(root: Cotree) -> int:
 # recognition
 
 
-def _components_within(g: Graph, vs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    inside = set(vs)
-    seen: set[int] = set()
-    comps = []
-    for s in vs:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in g.adjacency[v]:
-                if u in inside and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _co_components_within(g: Graph, vs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # BFS in the complement using the shrinking-unvisited-set trick
+def _split(g: Graph, vs: tuple[int, ...], join: bool) -> list[tuple[int, ...]]:
+    """Components of g[vs], or of its complement when join is set, as
+    sorted tuples ordered by smallest vertex; vs must be sorted.  A part
+    grows by one C-level set operation per vertex it takes."""
+    adj = g.adjacency
     unvisited = set(vs)
-    comps = []
-    for s in vs:
-        if s not in unvisited:
-            continue
+    built = len(vs)
+    rest = iter(vs)
+    parts = []
+    while unvisited:
+        s = next(v for v in rest if v in unvisited)
         unvisited.remove(s)
-        comp = [s]
-        stack = [s]
-        while stack:
+        part, stack = [s], [s]
+        while stack and unvisited:  # depth first drains unvisited soonest
             v = stack.pop()
-            nonneighbors = unvisited - g.adjacency[v]
-            comp.extend(nonneighbors)
-            stack.extend(nonneighbors)
-            unvisited -= nonneighbors
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
-    return comps
+            found = unvisited - adj[v] if join else adj[v] & unvisited
+            if found:
+                unvisited -= found
+                part += found
+                stack += found
+                if 4 * len(unvisited) < built:
+                    unvisited = set(unvisited)
+                    built = len(unvisited)
+        parts.append(tuple(sorted(part)))
+    return parts
 
 
 def build_cotree(g: Graph) -> Cotree:
     """Decompose g into a cotree, or raise NotCographError with a P4 witness.
 
-    Recursive split by components, then by complement components; children
-    are ordered by smallest contained vertex.
+    One split per cotree node.  Kinds alternate, so a union's children
+    are split only into co-components and a join's only into components;
+    only the root tries both.  A split copies its set of unplaced vertices
+    once that holds under a quarter of the vertices it was built with: a
+    CPython set never shrinks its table and every set operation walks it,
+    so without the copy a deep cotree would cost its depth times the
+    graph's size.  Children are ordered by smallest contained vertex.
     """
     if g.n == 0:
         raise ValueError("cannot build a cotree for the empty graph")
     root_vs = tuple(range(g.n))
-    plan: dict[tuple[int, ...], tuple[str, list[tuple[int, ...]]]] = {}
-    order: list[tuple[int, ...]] = []
-    stack = [root_vs]
+    plan: dict[tuple[int, ...], tuple[str, list[tuple[int, ...]]]] = {}  # in preorder
+    stack: list[tuple[tuple[int, ...], str | None]] = [(root_vs, None)]  # part, parent kind
     while stack:
-        vs = stack.pop()
-        if vs in plan:
-            continue
-        order.append(vs)
+        vs, parent = stack.pop()
         if len(vs) == 1:
-            plan[vs] = ("leaf", [])
             continue
-        comps = _components_within(g, vs)
-        if len(comps) > 1:
-            plan[vs] = (UNION, comps)
-            stack.extend(comps)
-            continue
-        cocomps = _co_components_within(g, vs)
-        if len(cocomps) > 1:
-            plan[vs] = (JOIN, cocomps)
-            stack.extend(cocomps)
-            continue
-        witness = find_induced_p4(g, vs)
-        assert witness is not None
-        raise NotCographError(witness)
-    built: dict[tuple[int, ...], Cotree] = {}
-    for vs in reversed(order):
-        kind, parts = plan[vs]
-        if kind == "leaf":
-            built[vs] = Leaf(vs[0])
+        for kind in (UNION, JOIN):
+            if kind == parent:
+                continue  # a union's parts are connected, a join's co-connected
+            parts = _split(g, vs, kind == JOIN)
+            if len(parts) > 1:
+                plan[vs] = (kind, parts)
+                stack.extend((p, kind) for p in parts)
+                break
         else:
-            built[vs] = Internal(kind, tuple(built[p] for p in parts))
+            raise NotCographError(find_induced_p4(g, vs))  # type: ignore[arg-type]
+    built: dict[tuple[int, ...], Cotree] = {(v,): Leaf(v) for v in root_vs}
+    for vs in reversed(plan):  # children before their parents
+        kind, parts = plan[vs]
+        built[vs] = Internal(kind, tuple(built[p] for p in parts))
     return built[root_vs]
 
 
@@ -292,12 +271,13 @@ def chromatic_number(root: Cotree) -> int:
     return omega_table(root)[id(root)]
 
 
-def omega_table(root: Cotree) -> dict[int, int]:
-    """Clique number of every subtree, keyed by node identity."""
+def omega_table(root: Cotree, within: frozenset[int] | None = None) -> dict[int, int]:
+    """Clique number of every subtree, keyed by node identity; given
+    `within`, of the subgraph each subtree induces on those vertices."""
     omega: dict[int, int] = {}
     for node in _postorder(root):
         if isinstance(node, Leaf):
-            omega[id(node)] = 1
+            omega[id(node)] = 1 if within is None or node.vertex in within else 0
         elif node.kind == UNION:
             omega[id(node)] = max(omega[id(c)] for c in node.children)
         else:

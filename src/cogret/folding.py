@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cotree import Cotree, build_cotree, chromatic_number, optimal_coloring
 from .graph_core import Graph, components, induced_subgraph
 
 
@@ -113,7 +114,6 @@ def threshold_folding_number(g: Graph) -> tuple[int, FoldSequence]:
     size, built by folding each color class of an optimal coloring into a
     single vertex.  For disconnected input the best component is folded.
     """
-    from .cotree import build_cotree, chromatic_number
     from .retract_threshold import NotThresholdError, threshold_elimination
 
     if g.n == 0:
@@ -124,17 +124,17 @@ def threshold_folding_number(g: Graph) -> tuple[int, FoldSequence]:
     best_chi = 0
     for comp in components(g):
         sub, _ = induced_subgraph(g, comp)
-        chi = chromatic_number(build_cotree(sub))
+        tree = build_cotree(sub)
+        chi = chromatic_number(tree)
         if chi > best_chi:
-            best_chi, best_comp = chi, comp
-    sub, _ = induced_subgraph(g, best_comp)
+            best_chi, best_comp, best_sub, best_tree = chi, comp, sub, tree
     try:
-        steps = _class_merge_sequence(sub)
+        steps = _class_merge_sequence(best_sub, best_tree)
     except FoldError:
-        if sub.n <= 8:
+        if best_sub.n <= 8:
             from .oracle import brute_folding_number
 
-            s, seq = brute_folding_number(sub)
+            s, seq = brute_folding_number(best_sub)
             if s != best_chi:
                 raise
             steps = seq.steps
@@ -151,16 +151,15 @@ def _complete_edges(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _class_merge_sequence(sub: Graph) -> tuple[tuple[int, int], ...]:
-    """Fold each color class of an optimal coloring into its first member.
+def _class_merge_sequence(sub: Graph, tree: Cotree) -> tuple[tuple[int, int], ...]:
+    """Fold each color class of an optimal coloring of sub, read off its
+    cotree, into its first member.
 
     Assumes a connected threshold graph; every merge goes through a
     shared neighbor, and apply_fold rechecks the distance-two condition
     at every step.
     """
-    from .cotree import build_cotree, optimal_coloring
-
-    coloring = optimal_coloring(build_cotree(sub))
+    coloring = optimal_coloring(tree)
     classes: dict[int, list[int]] = {}
     for v in range(sub.n):
         classes.setdefault(coloring[v], []).append(v)

@@ -39,7 +39,6 @@ from .cotree import (
     NotCographError,
     _PreparedGraph,
     _postorder,
-    build_cotree,
     cotree_leaves,
     max_clique_leaves,
     optimal_coloring,
@@ -68,8 +67,8 @@ def hom_exists(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """
     if g.n == 0:
         return True, ()
-    tg = build_cotree(g)
-    th = build_cotree(h)
+    tg = _prepared_cograph(g).cotree
+    th = _prepared_cograph(h).cotree
     coloring = optimal_coloring(tg)
     clique = sorted(max_clique_leaves(th))
     chi_g = max(coloring.values()) + 1
@@ -129,7 +128,10 @@ def _partitioned_on_cotree(
     # the list, so walking the folds backwards finds the clique resolved
     resolve: dict[int, int] = {v: v for v in hset}
     for branch, clique in reversed(folds):
-        resolve.update(_coloring_into(branch, [resolve[v] for v in clique]))
+        if isinstance(branch, Leaf):
+            resolve[branch.vertex] = resolve[clique[0]]
+        else:
+            resolve.update(_coloring_into(branch, [resolve[v] for v in clique]))
     gamma = tuple(sorted(hset))
     index = {v: i for i, v in enumerate(gamma)}
     cert = RetractCertificate(rho=tuple(index[resolve[v]] for v in range(g.n)), gamma=gamma)
@@ -494,7 +496,7 @@ def fpt_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
     component matching, and everything is memoized on interned subtree
     labels.  Raises NotCographError on non-cograph input.
     """
-    return cotree_pair_retract(g, h, build_cotree(g), build_cotree(h))
+    return cotree_pair_retract(g, h, _prepared_cograph(g).cotree, _prepared_cograph(h).cotree)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from tests.helpers import (
     all_cographs,
     cotree_chain,
     count_cotree_builds,
+    count_eliminations,
 )
 
 
@@ -214,6 +215,15 @@ class TestCotreeBuilds:
         # the host is trivially perfect, so classifying it builds its
         # cotree; the pattern is a triangle, which is threshold
         assert list(builds.values()) == [1]
+
+    def test_threshold_solver_eliminates_each_graph_once(self, runner, files, monkeypatch):
+        eliminations = count_eliminations(monkeypatch)
+        code, report = run_json(
+            runner, ["retract", files["paw.el"], files["k3.ct"], "--solver", "threshold"]
+        )
+        assert code == 0 and report["route"] == "threshold"
+        assert report["omega_g"] == report["omega_h"] == 3
+        assert sorted(eliminations.values()) == [1, 1]
 
     def test_omegas_match_cotree_on_exhaustive_pairs(self, monkeypatch):
         graphs_g = [g for n in range(1, 6) for g in all_cographs(n)]

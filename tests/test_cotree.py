@@ -20,11 +20,13 @@ from cogret.cotree import (
     chromatic_number,
     classify,
     clique_number,
+    cotree_leaves,
     cotree_to_graph,
     find_induced_p4,
     format_cotree,
     max_clique_leaves,
     normalize,
+    omega_table,
     optimal_coloring,
     parse_cotree,
 )
@@ -133,6 +135,36 @@ class TestBuildCotree:
             expected = canonical_key(flip(build_cotree(g)))
             assert canonical_key(build_cotree(complement(g))) == expected
 
+    def test_children_ordered_by_smallest_leaf(self):
+        graphs = [g for n in range(1, 8) for g in all_cographs(n)]
+        graphs += [random_cograph(64, seed) for seed in range(30)]
+        for g in graphs:
+            stack = [build_cotree(g)]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Internal):
+                    firsts = [min(cotree_leaves(c)) for c in node.children]
+                    assert firsts == sorted(firsts)
+                    stack.extend(node.children)
+
+    def test_deep_chain(self):
+        # the chain with each node's children in smallest-leaf order
+        expected: Leaf | Internal = Leaf(0)
+        for i in range(1, 1201):
+            expected = Internal(JOIN if i % 2 else UNION, (expected, Leaf(i)))
+        built = build_cotree(cotree_to_graph(cotree_chain(1200)))
+        assert cotree_shape(built) == cotree_shape(expected)
+
+    def test_deep_non_cograph_names_its_p4(self):
+        # vertices added universal or isolated lie on no induced P4
+        edges = [(0, 1), (1, 2), (2, 3)]
+        for v in range(4, 604):
+            if v % 2 == 0:
+                edges.extend((u, v) for u in range(v))
+        with pytest.raises(NotCographError) as err:
+            build_cotree(Graph(604, edges))
+        assert err.value.witness == (0, 1, 2, 3)
+
 
 class TestWitnessExtraction:
     def test_p4_free_returns_none(self):
@@ -204,6 +236,15 @@ class TestCliqueChromatic:
                 t = build_cotree(g)
                 assert clique_number(t) == brute_clique(g)
                 assert chromatic_number(t) == clique_number(t)
+
+    def test_omega_within_pattern_exhaustively(self):
+        for n in range(1, 7):
+            for g in all_cographs(n):
+                tree = build_cotree(g)
+                for mask in range(1, 1 << n):
+                    hset = frozenset(v for v in range(n) if mask >> v & 1)
+                    h, _ = induced_subgraph(g, hset)
+                    assert omega_table(tree, hset)[id(tree)] == clique_number(build_cotree(h))
 
     def test_optimal_coloring_is_proper_and_tight(self):
         for seed in range(80):

@@ -26,6 +26,7 @@ from tests.helpers import (
     PAW,
     TWO_K2,
     all_threshold_graphs,
+    count_cotree_builds,
     random_threshold_graph,
 )
 
@@ -103,6 +104,14 @@ class TestThresholdFoldingNumber:
             g = random_threshold_graph(rng.randint(1, 16), rng.randrange(10 ** 6))
             value, seq = threshold_folding_number(g)
             assert verify_fold_sequence(g, seq, K(value))
+
+    def test_one_cotree_build_per_component(self, monkeypatch):
+        builds = count_cotree_builds(monkeypatch)
+        for seed in range(10):
+            g = random_threshold_graph(60, seed, universal_bias=0.3)
+            builds.clear()
+            threshold_folding_number(g)
+            assert sum(builds.values()) == len(components(g))
 
 
 class TestFoldingNumberUniversal:

@@ -250,6 +250,10 @@ class TestDispatcher:
             assert route in ("tp", "fpt")
             assert set(builds) <= {id(g), id(h)}
             assert max(builds.values()) == 1
+            for solve in (fpt_retract, hom_exists):
+                builds.clear()
+                solve(g, h)
+                assert builds == {id(g): 1, id(h): 1}
 
     def test_solver_agreement_across_routes(self):
         # wherever the specialized solvers apply, all routes agree
