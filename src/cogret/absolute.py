@@ -12,16 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cotree import (
-    Leaf,
+    JOIN,
     UNION,
     Cotree,
+    Internal,
+    Leaf,
+    _postorder,
     build_cotree,
-    cotree_leaves,
-    max_clique_leaves,
-    omega_table,
+    clique_table,
+    normalize,
 )
 from .graph_core import Graph, NoRetract, components
-from .retract_cograph import PartitionedInstance, partitioned_retract
+from .retract_cograph import _partitioned_on_cotree
 
 
 @dataclass(frozen=True)
@@ -48,62 +50,41 @@ def _require_connected_cograph(h: Graph) -> Cotree:
     return build_cotree(h)
 
 
-def _vertex_qualifies(root: Cotree) -> dict[int, bool]:
-    """True for v iff, at every union ancestor, v's branch attains the
-    node's maximum child clique number."""
-    omega = omega_table(root)
-    ok: dict[int, bool] = {}
-    stack: list[tuple[Cotree, bool]] = [(root, True)]
-    while stack:
-        node, good = stack.pop()
-        if isinstance(node, Leaf):
-            ok[node.vertex] = good
-            continue
-        if node.kind == UNION:
-            best = max(omega[id(c)] for c in node.children)
-            for c in node.children:
-                stack.append((c, good and omega[id(c)] == best))
-        else:
-            for c in node.children:
-                stack.append((c, good))
-    return ok
-
-
-def _clique_through(root: Cotree, v: int) -> tuple[int, ...]:
-    """A maximum clique containing v; assumes v qualifies."""
-    node = root
-    picked: list[int] = []
-    omega = omega_table(root)
-    while True:
-        if isinstance(node, Leaf):
-            picked.append(node.vertex)
-            return tuple(sorted(picked))
-        holder = next(c for c in node.children if v in set(cotree_leaves(c)))
-        if node.kind == UNION:
-            node = holder
-        else:
-            for c in node.children:
-                if c is not holder:
-                    picked.extend(max_clique_leaves(c))
-            node = holder
-
-
 def is_absolute_retract(h: Graph) -> AbsoluteVerdict:
     """Test whether every vertex of h lies in a maximum clique.
 
     h must be a connected cograph.  A failing verdict carries a verified
-    counterexample embedding built by counterexample_embedding.
+    counterexample embedding built by counterexample_embedding.  v lies in
+    a maximum clique iff its branch is widest at every union above it;
+    then v and the stored cliques of its join siblings above form one.
     """
     root = _require_connected_cograph(h)
-    qualifies = _vertex_qualifies(root)
-    failing = tuple(sorted(v for v in range(h.n) if not qualifies[v]))
+    cliques = clique_table(root)
+    found: dict[int, tuple[int, ...]] = {}
+    # a node with the join siblings' cliques above it, None if it misses
+    # every maximum clique
+    stack: list[tuple[Cotree, tuple[int, ...] | None]] = [(root, ())]
+    while stack:
+        node, above = stack.pop()
+        if isinstance(node, Leaf):
+            if above is not None:
+                found[node.vertex] = tuple(sorted(above + (node.vertex,)))
+            continue
+        sizes = [len(cliques[id(c)]) for c in node.children]
+        if node.kind == UNION:
+            best = max(sizes)
+            stack.extend((c, above if k == best else None) for c, k in zip(node.children, sizes))
+            continue
+        joined, start = cliques[id(node)], 0  # the children's cliques in order
+        for c, k in zip(node.children, sizes):
+            rest = None if above is None else above + joined[:start] + joined[start + k :]
+            stack.append((c, rest))
+            start += k
+    failing = tuple(v for v in range(h.n) if v not in found)
     if not failing:
-        cliques = {v: _clique_through(root, v) for v in range(h.n)}
-        return AbsoluteVerdict(is_absolute=True, max_cliques=cliques)
-    counter = counterexample_embedding(h)
-    return AbsoluteVerdict(
-        is_absolute=False, failing_vertices=failing, counterexample=counter
-    )
+        return AbsoluteVerdict(is_absolute=True, max_cliques=dict(sorted(found.items())))
+    counter = _counterexample(h, root, cliques)
+    return AbsoluteVerdict(is_absolute=False, failing_vertices=failing, counterexample=counter)
 
 
 def counterexample_embedding(h: Graph) -> Graph:
@@ -117,7 +98,13 @@ def counterexample_embedding(h: Graph) -> Graph:
     when h is an absolute retract.
     """
     root = _require_connected_cograph(h)
-    omega = omega_table(root)
+    return _counterexample(h, root, clique_table(root))
+
+
+def _counterexample(
+    h: Graph, root: Cotree, cliques: dict[int, tuple[int, ...]]
+) -> Graph:
+    """counterexample_embedding from h's cotree and its clique table."""
     deficient: Cotree | None = None
     stack = [root]
     while stack and deficient is None:
@@ -125,22 +112,31 @@ def counterexample_embedding(h: Graph) -> Graph:
         if isinstance(node, Leaf):
             continue
         if node.kind == UNION:
-            best = max(omega[id(c)] for c in node.children)
-            for c in node.children:
-                if omega[id(c)] < best:
-                    deficient = c
-                    break
-        if deficient is None:
-            stack.extend(reversed(node.children))
+            best = max(len(cliques[id(c)]) for c in node.children)
+            deficient = next(
+                (c for c in node.children if len(cliques[id(c)]) < best), None
+            )
+        stack.extend(reversed(node.children))
     if deficient is None:
         raise ValueError("graph is an absolute retract; no counterexample exists")
-    twin_of = min(max_clique_leaves(deficient))
-    new = h.n
-    edges = list(h.edges())
+    twin_of, new = min(cliques[id(deficient)]), h.n
+    edges = [(u, w) for u in range(h.n) for w in h.adjacency[u] if u < w]
     edges.append((twin_of, new))
     edges.extend((u, new) for u in h.adjacency[twin_of])
     g = Graph(h.n + 1, edges)
-    answer = partitioned_retract(PartitionedInstance(g, frozenset(range(h.n))))
+    tree = _with_true_twin(root, twin_of, new)
+    answer = _partitioned_on_cotree(g, tree, frozenset(range(h.n)))
     if not isinstance(answer, NoRetract):
         raise AssertionError("counterexample construction failed certification")
     return g
+
+
+def _with_true_twin(root: Cotree, v: int, new: int) -> Cotree:
+    """root with leaf `new` added as a true twin of leaf v, normalized."""
+    rebuilt: dict[int, Cotree] = {}
+    for node in _postorder(root):
+        if isinstance(node, Leaf):
+            rebuilt[id(node)] = Internal(JOIN, (node, Leaf(new))) if node.vertex == v else node
+        else:
+            rebuilt[id(node)] = Internal(node.kind, tuple(rebuilt[id(c)] for c in node.children))
+    return normalize(rebuilt[id(root)])

@@ -268,10 +268,10 @@ def cmd_folding(g_path) -> None:
     g = _load_graph(g_path)
     started = time.perf_counter()
     budget = _budget_from_env()
-    cls = classify(g)
+    prepared = _PreparedGraph(g)
     report: dict = {"command": "folding", "inputs": {"g": _digest(g_path)}}
-    if cls.name == "threshold":
-        sigma, seq = folding_mod.threshold_folding_number(g)
+    if prepared.order is not None:
+        sigma, seq = folding_mod._threshold_folding(g, prepared.order)
         route = "threshold"
     elif any(g.degree(v) == g.n - 1 for v in range(g.n)):
         sigma = folding_mod.folding_number_universal(g, budget)

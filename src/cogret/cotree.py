@@ -310,19 +310,22 @@ def optimal_coloring(root: Cotree) -> dict[int, int]:
 
 def max_clique_leaves(root: Cotree) -> tuple[int, ...]:
     """Vertices of one maximum clique, chosen deterministically."""
-    omega = omega_table(root)
+    return clique_table(root)[id(root)]
+
+
+def clique_table(root: Cotree) -> dict[int, tuple[int, ...]]:
+    """One maximum clique of every subtree, keyed by node identity: a
+    union takes its first widest child's, a join the concatenation of its
+    children's, so a subtree's clique number is the length of its entry."""
     cliques: dict[int, tuple[int, ...]] = {}
     for node in _postorder(root):
         if isinstance(node, Leaf):
             cliques[id(node)] = (node.vertex,)
         elif node.kind == UNION:
-            best = max(node.children, key=lambda c: omega[id(c)])
-            cliques[id(node)] = cliques[id(best)]
+            cliques[id(node)] = max((cliques[id(c)] for c in node.children), key=len)
         else:
-            cliques[id(node)] = tuple(
-                v for c in node.children for v in cliques[id(c)]
-            )
-    return cliques[id(root)]
+            cliques[id(node)] = tuple(v for c in node.children for v in cliques[id(c)])
+    return cliques
 
 
 # ---------------------------------------------------------------------------

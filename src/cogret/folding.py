@@ -8,10 +8,18 @@ maximum over components.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterable
 
-from .cotree import Cotree, build_cotree, chromatic_number, optimal_coloring
-from .graph_core import Graph, components, induced_subgraph
+from .graph_core import Graph, induced_subgraph
+from .retract_threshold import (
+    ISOLATED,
+    UNIVERSAL,
+    EliminationOrder,
+    NotThresholdError,
+    threshold_elimination,
+)
 
 
 class FoldError(ValueError):
@@ -38,6 +46,53 @@ class CompleteColoring:
     classes: tuple[tuple[int, ...], ...]
 
 
+class _Folder:
+    """A graph under a run of folds, held as one mutable adjacency.
+
+    Vertices keep their original ids; `ids` lists the live ones ascending,
+    so a vertex's step id is its index there.  A fold merges y's
+    neighborhood into x's and relinks y's neighbors, so it costs O(deg y)
+    plus the shift of `ids`.  m is kept, so a complete result is
+    recognized without building a Graph.
+    """
+
+    __slots__ = ("adj", "ids", "m")
+
+    def __init__(self, g: Graph, vertices: Iterable[int]):
+        self.ids = sorted(vertices)
+        inside = set(self.ids)
+        self.adj = [inside & nbrs for nbrs in g.adjacency]
+        self.m = sum(len(self.adj[v]) for v in self.ids) // 2
+
+    def fold(self, x: int, y: int) -> None:
+        """Identify the vertices with step ids x and y, which must be at
+        distance exactly two; y is removed and x keeps both neighborhoods."""
+        ids = self.ids
+        if not (0 <= x < len(ids) and 0 <= y < len(ids)) or x == y:
+            raise FoldError(f"invalid fold pair ({x}, {y})")
+        a, b = ids[x], ids[y]
+        adj = self.adj
+        kept, gone = adj[a], adj[b]
+        if b in kept:
+            raise FoldError(f"({x}, {y}) are adjacent, not at distance two")
+        if kept.isdisjoint(gone):
+            raise FoldError(f"({x}, {y}) have no common neighbor")
+        fresh = gone - kept
+        for u in gone:
+            adj[u].remove(b)
+        for u in fresh:
+            adj[u].add(a)
+        kept |= fresh
+        self.m -= len(gone) - len(fresh)
+        del ids[y]
+
+    def graph(self) -> Graph:
+        """The current graph, renumbered to 0..k-1 in the order of `ids`."""
+        index = {v: i for i, v in enumerate(self.ids)}
+        edges = [(i, index[u]) for i, v in enumerate(self.ids) for u in self.adj[v] if u > v]
+        return Graph(len(self.ids), edges)
+
+
 def apply_fold(g: Graph, x: int, y: int) -> Graph:
     """Identify x and y (which must be at distance exactly two).
 
@@ -45,26 +100,9 @@ def apply_fold(g: Graph, x: int, y: int) -> Graph:
     above y shift down by one.  No self-loop can arise since x and y are
     nonadjacent.
     """
-    if not (0 <= x < g.n and 0 <= y < g.n) or x == y:
-        raise FoldError(f"invalid fold pair ({x}, {y})")
-    if g.has_edge(x, y):
-        raise FoldError(f"({x}, {y}) are adjacent, not at distance two")
-    if not (g.adjacency[x] & g.adjacency[y]):
-        raise FoldError(f"({x}, {y}) have no common neighbor")
-
-    def newid(v: int) -> int:
-        return v - 1 if v > y else v
-
-    merged = (g.adjacency[x] | g.adjacency[y]) - {x, y}
-    edges = set()
-    for u, v in g.edges():
-        if y in (u, v):
-            continue
-        edges.add((newid(u), newid(v)))
-    nx = newid(x)
-    for u in merged:
-        edges.add((nx, newid(u)))
-    return Graph(g.n - 1, edges)
+    folder = _Folder(g, range(g.n))
+    folder.fold(x, y)
+    return folder.graph()
 
 
 def verify_fold_sequence(
@@ -78,29 +116,26 @@ def verify_fold_sequence(
     For complete targets only size and completeness are compared.
     """
     if isinstance(seq, FoldSequence):
-        comp = seq.component
-        if sorted(set(comp)) != sorted(comp) or any(
-            not (0 <= v < g.n) for v in comp
-        ):
+        comp, steps = seq.component, seq.steps
+        if len(set(comp)) != len(comp) or any(not (0 <= v < g.n) for v in comp):
             return False
-        current, _ = induced_subgraph(g, comp)
-        steps = seq.steps
     else:
-        current = g
-        steps = tuple(seq)
-    for x, y in steps:
-        try:
-            current = apply_fold(current, x, y)
-        except FoldError:
-            return False
-    if current.n != target.n:
+        comp, steps = range(g.n), seq
+    folder = _Folder(g, comp)
+    try:
+        for x, y in steps:
+            folder.fold(x, y)
+    except FoldError:
         return False
-    full = target.n * (target.n - 1) // 2
+    n = len(folder.ids)
+    if n != target.n:
+        return False
+    full = n * (n - 1) // 2
     if target.m == full:
-        return current.m == full
+        return folder.m == full
     from .oracle import canonical_graph_key
 
-    return canonical_graph_key(current) == canonical_graph_key(target)
+    return canonical_graph_key(folder.graph()) == canonical_graph_key(target)
 
 
 # ---------------------------------------------------------------------------
@@ -114,97 +149,57 @@ def threshold_folding_number(g: Graph) -> tuple[int, FoldSequence]:
     size, built by folding each color class of an optimal coloring into a
     single vertex.  For disconnected input the best component is folded.
     """
-    from .retract_threshold import NotThresholdError, threshold_elimination
-
     if g.n == 0:
         raise ValueError("folding number undefined for the empty graph")
-    if threshold_elimination(g) is None:
+    order = threshold_elimination(g)
+    if order is None:
         raise NotThresholdError("input is not a threshold graph")
-    best_comp: tuple[int, ...] = ()
-    best_chi = 0
-    for comp in components(g):
-        sub, _ = induced_subgraph(g, comp)
-        tree = build_cotree(sub)
-        chi = chromatic_number(tree)
-        if chi > best_chi:
-            best_chi, best_comp, best_sub, best_tree = chi, comp, sub, tree
-    try:
-        steps = _class_merge_sequence(best_sub, best_tree)
-    except FoldError:
-        if best_sub.n <= 8:
-            from .oracle import brute_folding_number
-
-            s, seq = brute_folding_number(best_sub)
-            if s != best_chi:
-                raise
-            steps = seq.steps
-        else:
-            raise
-    seq = FoldSequence(component=best_comp, steps=steps)
-    target = Graph(best_chi, _complete_edges(best_chi))
-    if not verify_fold_sequence(g, seq, target):
-        raise FoldError("constructed fold sequence failed verification")
-    return best_chi, seq
+    return _threshold_folding(g, order)
 
 
-def _complete_edges(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+def _threshold_folding(g: Graph, order: EliminationOrder) -> tuple[int, FoldSequence]:
+    """threshold_folding_number from the graph's elimination order.
 
-
-def _class_merge_sequence(sub: Graph, tree: Cotree) -> tuple[tuple[int, int], ...]:
-    """Fold each color class of an optimal coloring of sub, read off its
-    cotree, into its first member.
-
-    Assumes a connected threshold graph; every merge goes through a
-    shared neighbor, and apply_fold rechecks the distance-two condition
-    at every step.
+    A vertex removed as isolated is adjacent only to the universal
+    vertices removed before it, so the isolated ones are pairwise
+    nonadjacent and each universal one is adjacent to every later vertex.
+    One color for the isolated ones and one for each universal vertex is
+    therefore optimal: chi is the number of universal steps plus one.  All
+    edges lie in one component, the vertices of positive degree, where the
+    first universal vertex is a common neighbor of every merge.  Each step
+    goes through the checked fold, so the sequence is verified as built.
     """
-    coloring = optimal_coloring(tree)
-    classes: dict[int, list[int]] = {}
-    for v in range(sub.n):
-        classes.setdefault(coloring[v], []).append(v)
-    current = sub
-    alive = list(range(sub.n))  # alive[original] = current id, -1 if folded away
-    steps: list[tuple[int, int]] = []
-    for color in sorted(classes):
-        members = sorted(classes[color])
-        head = members[0]
-        for v in members[1:]:
-            x, y = alive[head], alive[v]
-            steps.append((x, y))
-            current = apply_fold(current, x, y)
-            alive[v] = -1
-            for w in range(sub.n):
-                if alive[w] > y:
-                    alive[w] -= 1
-    return tuple(steps)
+    stable = sorted(v for v, tag in order.steps if tag == ISOLATED and g.adjacency[v])
+    if not stable:  # edgeless: every component is a single vertex
+        return 1, FoldSequence(component=(0,), steps=())
+    chi = 1 + sum(1 for _, tag in order.steps if tag == UNIVERSAL)
+    comp = tuple(v for v in range(g.n) if g.adjacency[v])
+    folder = _Folder(g, comp)
+    head = bisect_left(folder.ids, stable[0])  # no step removes a smaller id
+    steps = []
+    for v in stable[1:]:
+        steps.append((head, bisect_left(folder.ids, v)))
+        folder.fold(*steps[-1])
+    if len(folder.ids) != chi or folder.m != chi * (chi - 1) // 2:
+        raise FoldError("constructed fold sequence failed verification")
+    return chi, FoldSequence(component=comp, steps=tuple(steps))
 
 
 def folding_number_universal(g: Graph, budget=None) -> int:
     """Folding number of a graph with a universal vertex.
 
-    Strips universal vertices one at a time, adding one per strip, then
-    finishes with the exact achromatic search on the residual graph.  The
-    folding and achromatic numbers agree on this class.
+    Strips the universal vertices, adding one per vertex, then finishes
+    with the exact achromatic search on the residual graph.  A vertex
+    universal in the residual is adjacent to every stripped vertex too, so
+    one degree scan finds them all.  The folding and achromatic numbers
+    agree on this class.
     """
-    from .oracle import DEFAULT_ACHROMATIC_BUDGET, brute_achromatic
+    from .oracle import brute_achromatic
 
     if g.n == 0:
         raise ValueError("folding number undefined for the empty graph")
-    if not any(g.degree(v) == g.n - 1 for v in range(g.n)):
+    rest = [v for v in range(g.n) if g.degree(v) < g.n - 1]
+    if len(rest) == g.n:
         raise ValueError("graph has no universal vertex")
-    stripped = 0
-    current = g
-    while current.n > 0:
-        universal = next(
-            (v for v in range(current.n) if current.degree(v) == current.n - 1), None
-        )
-        if universal is None:
-            break
-        keep = [v for v in range(current.n) if v != universal]
-        current, _ = induced_subgraph(current, keep)
-        stripped += 1
-    if current.n == 0:
-        return stripped
-    value, _ = brute_achromatic(current, budget or DEFAULT_ACHROMATIC_BUDGET)
-    return stripped + value
+    residual, _ = induced_subgraph(g, rest)
+    return g.n - len(rest) + brute_achromatic(residual, budget)[0]

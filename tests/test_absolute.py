@@ -1,13 +1,24 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from cogret.absolute import counterexample_embedding, is_absolute_retract
+from cogret.absolute import _with_true_twin, counterexample_embedding, is_absolute_retract
+from cogret.cotree import build_cotree, cotree_to_graph, normalize
 from cogret.graph_core import NoRetract, bfs_distances, induced_subgraph
 from cogret.oracle import brute_clique, brute_retract, canonical_graph_key
 from cogret.retract_cograph import PartitionedInstance, partitioned_retract
 
-from tests.helpers import BUTTERFLY, K, PAW, TWO_K2, all_connected_cographs
+from tests.helpers import (
+    BUTTERFLY,
+    K,
+    PAW,
+    TWO_K2,
+    all_connected_cographs,
+    cotree_chain,
+    count_cotree_builds,
+)
 
 
 class TestVerdicts:
@@ -36,7 +47,7 @@ class TestVerdicts:
             assert v in clique and len(clique) == 3
 
     def test_max_clique_witnesses_are_cliques(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for h in all_connected_cographs(n):
                 verdict = is_absolute_retract(h)
                 if not verdict.is_absolute:
@@ -47,6 +58,29 @@ class TestVerdicts:
                     for i, a in enumerate(clique):
                         for b in clique[i + 1 :]:
                             assert h.has_edge(a, b)
+
+    def test_deep_chain_without_recursion(self):
+        # chain vertex i hangs at level i: odd levels are joins, even ones
+        # unions, whose leaf misses the wider chain below it
+        h = cotree_to_graph(cotree_chain(1201))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            verdict = is_absolute_retract(h)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verdict.failing_vertices == tuple(range(2, 1201, 2))
+        # the top union's leaf is deficient: the new vertex is its true twin
+        g = verdict.counterexample
+        assert g.n == h.n + 1 == 1203 and g.m == h.m + 2
+        assert g.adjacency[1202] == {1200, 1201}
+
+    def test_one_cotree_build(self, monkeypatch):
+        builds = count_cotree_builds(monkeypatch)
+        for h in (PAW, BUTTERFLY):
+            is_absolute_retract(h)
+            assert builds[id(h)] == 1
+        assert sum(builds.values()) == 2
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -91,6 +125,20 @@ class TestCounterexamples:
                     PartitionedInstance(g, frozenset(range(h.n)))
                 )
                 assert isinstance(answer, NoRetract)
+
+    def test_twin_cotree_realizes_the_counterexample(self):
+        for n in range(2, 7):
+            for h in all_connected_cographs(n):
+                verdict = is_absolute_retract(h)
+                if verdict.is_absolute:
+                    continue
+                g = verdict.counterexample
+                twin = next(
+                    v for v in g.adjacency[n] if g.adjacency[v] - {n} == g.adjacency[n] - {v}
+                )
+                tree = _with_true_twin(build_cotree(h), twin, n)
+                assert cotree_to_graph(tree) == g
+                assert tree == normalize(tree)
 
     def test_general_retract_also_fails_small(self):
         # beyond the inclusion-fixing certificate: no retraction at all

@@ -260,6 +260,14 @@ class TestOtherCommands:
         assert report["route"] == "threshold"
         assert report["verified"] is True
 
+    def test_folding_eliminates_once_and_builds_no_cotree(self, runner, files, monkeypatch):
+        eliminations = count_eliminations(monkeypatch)
+        builds = count_cotree_builds(monkeypatch)
+        code, report = run_json(runner, ["folding", files["paw.el"]])
+        assert code == 0 and report["route"] == "threshold" and report["verified"]
+        assert list(eliminations.values()) == [1]
+        assert not builds
+
     def test_absolute_false_writes_counterexample(self, runner, files, tmp_path):
         out = tmp_path / "counter.el"
         code, report = run_json(
