@@ -120,10 +120,12 @@ def _counterexample(
     if deficient is None:
         raise ValueError("graph is an absolute retract; no counterexample exists")
     twin_of, new = min(cliques[id(deficient)]), h.n
-    edges = [(u, w) for u in range(h.n) for w in h.adjacency[u] if u < w]
-    edges.append((twin_of, new))
-    edges.extend((u, new) for u in h.adjacency[twin_of])
-    g = Graph(h.n + 1, edges)
+    twin = h.adjacency[twin_of] | {twin_of}
+    adj = list(h.adjacency)
+    for u in twin:
+        adj[u] = adj[u] | {new}
+    adj.append(twin)
+    g = Graph._from_sets(h.n + 1, adj)
     tree = _with_true_twin(root, twin_of, new)
     answer = _partitioned_on_cotree(g, tree, frozenset(range(h.n)))
     if not isinstance(answer, NoRetract):

@@ -177,7 +177,7 @@ def _solve_pair(
             h, _ = induced_subgraph(g, inst.hset)
             if inst.hset:
                 pg = _prepared_cograph(g)
-                result = _partitioned_on_cotree(g, pg.cotree, inst.hset)
+                result = _partitioned_on_cotree(g, pg.cotree, inst.hset, h)
                 omega_g, omega_h = pg.omega, omega_table(pg.cotree, inst.hset)[id(pg.cotree)]
             else:
                 result = partitioned_retract(inst)  # the empty-pattern answers
@@ -268,7 +268,10 @@ def cmd_folding(g_path) -> None:
     g = _load_graph(g_path)
     started = time.perf_counter()
     budget = _budget_from_env()
-    prepared = _PreparedGraph(g)
+    try:
+        prepared = _PreparedGraph(g)
+    except ValueError as exc:  # the empty graph, which has no class
+        raise CommandError(f"{g_path}: {exc}")
     report: dict = {"command": "folding", "inputs": {"g": _digest(g_path)}}
     if prepared.order is not None:
         sigma, seq = folding_mod._threshold_folding(g, prepared.order)

@@ -9,6 +9,7 @@ root-to-leaf path and internal nodes have at least two children.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 from .graph_core import Graph
@@ -212,7 +213,7 @@ def cotree_to_graph(root: Cotree) -> Graph:
         raise CotreeError(
             f"leaf ids must be a permutation of 0..{n - 1}, got {sorted(leaves)}"
         )
-    edges: list[tuple[int, int]] = []
+    adj: list[set[int]] = [set() for _ in range(n)]
     leafsets: dict[int, tuple[int, ...]] = {}
     for node in _postorder(root):
         if isinstance(node, Leaf):
@@ -221,15 +222,17 @@ def cotree_to_graph(root: Cotree) -> Graph:
         childsets = [leafsets[id(c)] for c in node.children]
         if len(childsets) < 2:
             raise CotreeError("internal cotree node with fewer than two children")
+        merged = tuple(chain.from_iterable(childsets))
         if node.kind == JOIN:
-            for i, a in enumerate(childsets):
-                for b in childsets[i + 1 :]:
-                    edges.extend((u, v) for u in a for v in b)
+            everything = frozenset(merged)
+            for s in childsets:
+                others = everything.difference(s)
+                for u in s:
+                    adj[u] |= others
         elif node.kind != UNION:
             raise CotreeError(f"unknown cotree node kind {node.kind!r}")
-        merged = tuple(x for s in childsets for x in s)
         leafsets[id(node)] = merged
-    return Graph(n, edges)
+    return Graph._from_sets(n, adj)
 
 
 def normalize(root: Cotree) -> Cotree:

@@ -7,7 +7,11 @@ they are safe to share between threads and to use as dictionary keys.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate, compress, count, repeat
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 
@@ -40,9 +44,24 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
+        self._set(n, adj)
+
+    @classmethod
+    def _from_sets(cls, n: int, adj: Iterable[Iterable[int]]) -> Graph:
+        """The graph whose neighbours of v are adj[v], for v in 0..n-1.
+
+        Checks nothing: adj must hold n symmetric, loop-free sets of ids
+        in range, as every caller has already made sure.  Frozensets are
+        shared, not copied.
+        """
+        g = cls.__new__(cls)
+        g._set(n, adj)
+        return g
+
+    def _set(self, n: int, adj: Iterable[Iterable[int]]) -> None:
         self.n = n
-        self.adjacency: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._m = sum(len(s) for s in adj) // 2
+        self.adjacency: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        self._m = sum(map(len, self.adjacency)) // 2
 
     @property
     def m(self) -> int:
@@ -112,40 +131,49 @@ def parse_edge_list(text: str) -> Graph:
     naming the offending line for malformed input, out-of-range vertices
     and self-loops.
     """
-    n: int | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line:
-            continue
-        if n is None:
+        if line:
             try:
                 n = int(line)
             except ValueError:
                 raise ParseError(f"expected vertex count, got {line!r}", lineno)
             if n < 0:
                 raise ParseError("vertex count must be nonnegative", lineno)
+            break
+    else:
+        raise ParseError("empty input")
+    # keyed by vertex, so a huge n costs nothing until the input is valid
+    adj: defaultdict[int, set[int]] = defaultdict(set)
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"expected 'u v', got {line!r}", lineno)
+            raise ParseError(f"expected 'u v', got {raw.strip()!r}", lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"non-integer vertex in {line!r}", lineno)
+            raise ParseError(f"non-integer vertex in {raw.strip()!r}", lineno)
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex out of range in {line!r}", lineno)
+            raise ParseError(f"vertex out of range in {raw.strip()!r}", lineno)
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", lineno)
-        edges.append((u, v))
-    if n is None:
-        raise ParseError("empty input")
-    return Graph(n, edges)
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph._from_sets(n, map(adj.get, range(n), repeat(())))
 
 
 def format_edge_list(g: Graph) -> str:
+    """First line n, then one line "u v" per edge, u < v, in ascending order."""
+    names = list(map(str, range(g.n)))
     lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    for u, nbrs in enumerate(g.adjacency):
+        above = sorted(nbrs)
+        above = above[bisect_right(above, u) :]
+        if above:
+            lines.append(f"{u} " + f"\n{u} ".join(map(names.__getitem__, above)))
     return "\n".join(lines) + "\n"
 
 
@@ -179,6 +207,12 @@ def format_graph6(g: Graph) -> str:
     return bytes(head + body).decode("ascii")
 
 
+# graph6 data bytes are 63..126; table k maps each to its data bit 5-k, as
+# byte 0 or 1, so the bits of a body are six translates laid out with stride 6
+_G6_DATA = bytes(range(63, 127))
+_G6_BIT_TABLES = [bytes((((b - 63) & 63) >> k) & 1 for b in range(256)) for k in range(5, -1, -1)]
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string (optional '>>graph6<<' header tolerated)."""
     s = text.strip()
@@ -186,8 +220,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :].strip()
     if not s:
         raise ParseError("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
-    if any(b < 63 or b > 126 for b in data):
+    if not s.isascii():
+        raise ParseError("graph6 byte out of range")
+    data = s.encode("ascii")
+    if data.translate(None, _G6_DATA):  # what is left is out of range
         raise ParseError("graph6 byte out of range")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -205,21 +241,34 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"graph6 body has {len(body)} bytes, expected {expected} for n={n}"
         )
-    bits: list[int] = []
-    for b in body:
-        val = b - 63
-        for shift in range(5, -1, -1):
-            bits.append((val >> shift) & 1)
+    bits = bytearray(6 * len(body))
+    for k, table in enumerate(_G6_BIT_TABLES):
+        bits[k::6] = body.translate(table)
     if any(bits[nbits:]):
         raise ParseError("nonzero padding bits in graph6 body")
-    edges = []
-    k = 0
+    # column j of the upper triangle holds rows 0..j-1; it is row j and,
+    # strided, column j of the symmetric n x n matrix
+    matrix = bytearray(n * n)
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+        column = bits[j * (j - 1) // 2 : j * (j + 1) // 2]
+        matrix[j * n : j * n + j] = column
+        matrix[j : j * n : n] = column
+    ids = tuple(range(n))
+    return Graph._from_sets(n, (_ones(matrix[v * n : v * n + n], ids) for v in ids))
+
+
+def _ones(row: bytearray, ids: tuple[int, ...]) -> frozenset[int]:
+    """The ids at whose positions row, of bytes 0 and 1, holds a 1.
+
+    compress pays per byte (over a tuple: a range makes an int per byte),
+    split per 1, about six times as much, so sparse rows split.
+    """
+    if 8 * row.count(1) > len(row):
+        return frozenset(compress(ids, row))
+    gaps = row.split(b"\1")
+    del gaps[-1]
+    # the k-th 1 (from 0) follows gaps 0..k and k earlier 1s
+    return frozenset(map(add, accumulate(map(len, gaps)), count()))
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +317,14 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     Returns the new graph and the translation table mapping new ids to the
     original ones (ascending).
     """
-    old = tuple(sorted(set(vertices)))
+    keep = set(vertices)
+    old = tuple(sorted(keep))
     for v in old:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(old)}
-    edges = [
-        (index[u], index[v])
-        for u in old
-        for v in g.adjacency[u]
-        if u < v and v in index
-    ]
-    return Graph(len(old), edges), old
+    index = {v: i for i, v in enumerate(old)}.__getitem__
+    adj = g.adjacency
+    return Graph._from_sets(len(old), [frozenset(map(index, adj[u] & keep)) for u in old]), old
 
 
 def graph_union(a: Graph, b: Graph) -> Graph:

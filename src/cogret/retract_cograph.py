@@ -118,9 +118,13 @@ def partitioned_retract(inst: PartitionedInstance) -> RetractCertificate | NoRet
 
 
 def _partitioned_on_cotree(
-    g: Graph, tree: Cotree, hset: frozenset[int]
+    g: Graph, tree: Cotree, hset: frozenset[int], h: Graph | None = None
 ) -> RetractCertificate | NoRetract:
-    """partitioned_retract from g's cotree, for a nonempty pattern set."""
+    """partitioned_retract from g's cotree, for a nonempty pattern set.
+
+    h, when given, is induced_subgraph(g, hset)'s graph, which a YES is
+    verified against; otherwise it is built on a YES.
+    """
     folds, kept = _prune_plan(tree, hset)
     if kept:
         return NoRetract("pruning fixpoint keeps vertices outside the pattern", tuple(kept))
@@ -135,7 +139,8 @@ def _partitioned_on_cotree(
     gamma = tuple(sorted(hset))
     index = {v: i for i, v in enumerate(gamma)}
     cert = RetractCertificate(rho=tuple(index[resolve[v]] for v in range(g.n)), gamma=gamma)
-    h, _ = induced_subgraph(g, hset)
+    if h is None:
+        h, _ = induced_subgraph(g, hset)
     if not verify_retract_certificate(g, h, cert):
         raise AssertionError("partitioned solver produced an invalid certificate")
     return cert

@@ -16,11 +16,14 @@ from cogret.cotree import (
     Leaf,
     UNION,
     Cotree,
+    CotreeError,
+    _postorder,
     build_cotree,
+    cotree_leaves,
     cotree_to_graph,
     is_trivially_perfect_cotree,
 )
-from cogret.graph_core import Graph
+from cogret.graph_core import Graph, ParseError
 
 
 def K(n: int) -> Graph:
@@ -395,3 +398,131 @@ def _freeze_mutable(nd) -> Cotree:
         return Internal(node[0], tuple(freeze(c) for c in node[1]))
 
     return normalize(freeze(nd))
+
+
+# ---------------------------------------------------------------------------
+# reference graph I/O: the straightforward per-edge implementations, kept as
+# the oracle for the differential tests of the set-based ones in cogret
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    n: int | None = None
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if n is None:
+            try:
+                n = int(line)
+            except ValueError:
+                raise ParseError(f"expected vertex count, got {line!r}", lineno)
+            if n < 0:
+                raise ParseError("vertex count must be nonnegative", lineno)
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected 'u v', got {line!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer vertex in {line!r}", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"vertex out of range in {line!r}", lineno)
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", lineno)
+        edges.append((u, v))
+    if n is None:
+        raise ParseError("empty input")
+    return Graph(n, edges)
+
+
+def reference_format_edge_list(g: Graph) -> str:
+    lines = [str(g.n)]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """The per-bit decoder; it reads a non-ASCII character as byte 63."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :].strip()
+    if not s:
+        raise ParseError("empty graph6 string")
+    data = s.encode("ascii", errors="replace")
+    if any(b < 63 or b > 126 for b in data):
+        raise ParseError("graph6 byte out of range")
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise ParseError("graph6 strings for n >= 258048 are not supported")
+        if len(data) < 4:
+            raise ParseError("truncated graph6 size header")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        body = data[1:]
+    nbits = n * (n - 1) // 2
+    expected = (nbits + 5) // 6
+    if len(body) != expected:
+        raise ParseError(
+            f"graph6 body has {len(body)} bytes, expected {expected} for n={n}"
+        )
+    bits: list[int] = []
+    for b in body:
+        val = b - 63
+        for shift in range(5, -1, -1):
+            bits.append((val >> shift) & 1)
+    if any(bits[nbits:]):
+        raise ParseError("nonzero padding bits in graph6 body")
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return Graph(n, edges)
+
+
+def reference_cotree_to_graph(root: Cotree) -> Graph:
+    leaves = cotree_leaves(root)
+    n = len(leaves)
+    if sorted(leaves) != list(range(n)):
+        raise CotreeError(
+            f"leaf ids must be a permutation of 0..{n - 1}, got {sorted(leaves)}"
+        )
+    edges: list[tuple[int, int]] = []
+    leafsets: dict[int, tuple[int, ...]] = {}
+    for node in _postorder(root):
+        if isinstance(node, Leaf):
+            leafsets[id(node)] = (node.vertex,)
+            continue
+        childsets = [leafsets[id(c)] for c in node.children]
+        if len(childsets) < 2:
+            raise CotreeError("internal cotree node with fewer than two children")
+        if node.kind == JOIN:
+            for i, a in enumerate(childsets):
+                for b in childsets[i + 1 :]:
+                    edges.extend((u, v) for u in a for v in b)
+        elif node.kind != UNION:
+            raise CotreeError(f"unknown cotree node kind {node.kind!r}")
+        merged = tuple(x for s in childsets for x in s)
+        leafsets[id(node)] = merged
+    return Graph(n, edges)
+
+
+def reference_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    old = tuple(sorted(set(vertices)))
+    for v in old:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range")
+    index = {v: i for i, v in enumerate(old)}
+    edges = [
+        (index[u], index[v])
+        for u in old
+        for v in g.adjacency[u]
+        if u < v and v in index
+    ]
+    return Graph(len(old), edges), old

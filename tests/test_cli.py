@@ -6,10 +6,16 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cogret import cli
+from cogret import cli, retract_cograph
 from cogret.cli import main
 from cogret.cotree import build_cotree, clique_number, format_cotree
-from cogret.graph_core import format_edge_list, format_graph6, parse_edge_list
+from cogret.graph_core import (
+    format_edge_list,
+    format_graph6,
+    induced_subgraph,
+    parse_edge_list,
+    random_cograph,
+)
 
 from tests.helpers import (
     BUTTERFLY,
@@ -83,6 +89,29 @@ class TestRetractCommand:
         result = runner.invoke(main, ["retract", files["p4.el"], files["k2.g6"]])
         assert result.exit_code == 2
         assert "P4" in result.output or "not a cograph" in result.output
+
+    @pytest.mark.parametrize(
+        "g, h",
+        [(BUTTERFLY, K3), (BUTTERFLY, PAW), (random_cograph(14, 3), random_cograph(5, 9))],
+        ids=["tp-yes", "no", "fpt-yes"],
+    )
+    def test_reports_agree_across_formats(self, runner, tmp_path, g, h):
+        writers = {
+            "el": format_edge_list,
+            "g6": format_graph6,
+            "ct": lambda x: format_cotree(build_cotree(x)) + "\n",
+        }
+        reports = []
+        for ext, write in writers.items():
+            paths = []
+            for name, graph in (("g", g), ("h", h)):
+                path = tmp_path / f"{name}.{ext}"
+                path.write_text(write(graph))
+                paths.append(str(path))
+            code, report = run_json(runner, ["retract", *paths])
+            del report["inputs"], report["millis"]
+            reports.append((code, report))
+        assert reports[0] == reports[1] == reports[2]
 
     def test_solver_forcing(self, runner, files):
         code, report = run_json(
@@ -174,8 +203,10 @@ class TestInputErrors:
             ["retract", "@empty.el", "@empty.el"],
             ["retract", "@k2.el", "@empty.el"],
             ["classify", "@empty.el"],
+            ["folding", "@empty.el"],
+            ["absolute", "@empty.el"],
         ],
-        ids=["retract-empty-empty", "retract-k2-empty", "classify-empty"],
+        ids=["retract-empty-empty", "retract-k2-empty", "classify-empty", "folding-empty", "absolute-empty"],
     )
     def test_empty_graph_exit_2(self, runner, files, args):
         args = [str(Path(files["dir"]) / a[1:]) if a.startswith("@") else a for a in args]
@@ -207,6 +238,14 @@ class TestCotreeBuilds:
 
     def test_partitioned_builds_host_once(self, runner, files, monkeypatch):
         builds = count_cotree_builds(monkeypatch)
+        patterns = []
+
+        def induced(g, vertices):
+            patterns.append(sorted(vertices))
+            return induced_subgraph(g, vertices)
+
+        monkeypatch.setattr(cli, "induced_subgraph", induced)
+        monkeypatch.setattr(retract_cograph, "induced_subgraph", induced)
         code, report = run_json(
             runner, ["retract", files["butterfly.ct"], "--partitioned", files["hset.txt"]]
         )
@@ -215,6 +254,8 @@ class TestCotreeBuilds:
         # the host is trivially perfect, so classifying it builds its
         # cotree; the pattern is a triangle, which is threshold
         assert list(builds.values()) == [1]
+        # the solver verifies its YES against the pattern the CLI built
+        assert patterns == [[0, 1, 2]]
 
     def test_threshold_solver_eliminates_each_graph_once(self, runner, files, monkeypatch):
         eliminations = count_eliminations(monkeypatch)
