@@ -17,6 +17,7 @@ from .cotree import (
     Cotree,
     Internal,
     Leaf,
+    NotCographError,
     _postorder,
     build_cotree,
     clique_table,
@@ -42,12 +43,24 @@ class AbsoluteVerdict:
     counterexample: Graph | None = None
 
 
+_DISCONNECTED = "absolute-retract test requires a connected graph"
+
+
 def _require_connected_cograph(h: Graph) -> Cotree:
+    """h's cotree; ValueError if h is empty or disconnected, else
+    NotCographError if h is not a cograph.  A cograph is connected exactly
+    when its cotree's root is a leaf or a join."""
     if h.n == 0:
         raise ValueError("empty graph")
-    if len(components(h)) != 1:
-        raise ValueError("absolute-retract test requires a connected graph")
-    return build_cotree(h)
+    try:
+        root = build_cotree(h)
+    except NotCographError:
+        if len(components(h)) != 1:
+            raise ValueError(_DISCONNECTED) from None
+        raise
+    if isinstance(root, Internal) and root.kind == UNION:
+        raise ValueError(_DISCONNECTED)
+    return root
 
 
 def is_absolute_retract(h: Graph) -> AbsoluteVerdict:

@@ -45,7 +45,7 @@ from .graph_core import (
 )
 from .retract_cograph import (
     PartitionedInstance,
-    _partitioned_on_cotree,
+    _partitioned_answer,
     _prepared_cograph,
     _retract_prepared,
     cotree_pair_retract,
@@ -174,10 +174,10 @@ def _solve_pair(
                 inst = PartitionedInstance(g, frozenset(int(tok) for tok in text.split()))
             except ValueError as exc:
                 raise CommandError(f"{partitioned_path}: {exc}")
-            h, _ = induced_subgraph(g, inst.hset)
             if inst.hset:
                 pg = _prepared_cograph(g)
-                result = _partitioned_on_cotree(g, pg.cotree, inst.hset, h)
+                # verified below against the pattern, built only on a YES
+                result = _partitioned_answer(g, pg.cotree, inst.hset)
                 omega_g, omega_h = pg.omega, omega_table(pg.cotree, inst.hset)[id(pg.cotree)]
             else:
                 result = partitioned_retract(inst)  # the empty-pattern answers
@@ -201,6 +201,8 @@ def _solve_pair(
     report["omega_h"] = omega_h
     report["millis"] = round(1000 * (time.perf_counter() - started), 3)
     if isinstance(result, RetractCertificate):
+        if partitioned_path is not None:
+            h, _ = induced_subgraph(g, inst.hset)
         if not verify_retract_certificate(g, h, result):
             raise CommandError("internal error: certificate failed verification")
         return report, 0

@@ -8,6 +8,7 @@ root-to-leaf path and internal nodes have at least two children.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Union
@@ -112,16 +113,99 @@ def _split(g: Graph, vs: tuple[int, ...], join: bool) -> list[tuple[int, ...]]:
 def build_cotree(g: Graph) -> Cotree:
     """Decompose g into a cotree, or raise NotCographError with a P4 witness.
 
-    One split per cotree node.  Kinds alternate, so a union's children
-    are split only into co-components and a join's only into components;
-    only the root tries both.  A split copies its set of unplaced vertices
-    once that holds under a quarter of the vertices it was built with: a
-    CPython set never shrinks its table and every set operation walks it,
-    so without the copy a deep cotree would cost its depth times the
-    graph's size.  Children are ordered by smallest contained vertex.
+    A trivially perfect graph reads its cotree off its rooted-forest model
+    in O(n + m) (_forest_cotree).  Any other graph, a cograph with an
+    induced C4 or a non-cograph, goes to the split builder.  Children are
+    ordered by smallest contained vertex, so both give the same tree.
     """
     if g.n == 0:
         raise ValueError("cannot build a cotree for the empty graph")
+    tree = _forest_cotree(g)
+    return tree if tree is not None else _split_cotree(g)
+
+
+def _forest_cotree(g: Graph) -> Cotree | None:
+    """The cotree of a trivially perfect g, or None if g is not one.
+
+    A trivially perfect graph is the comparability graph of a rooted
+    forest (Wolk 1962), which the degree order gives in linear time (Yan,
+    Chen and Chang 1996): in order of non-increasing degree, each vertex
+    hangs under its latest earlier neighbour.  Adjacent vertices of a
+    trivially perfect graph have nested closed neighbourhoods, else there
+    is an induced P4 or C4, so N[v] lies in N[parent(v)] for every v.
+    Conversely, once that holds, each ancestor of v is adjacent to v and
+    each earlier neighbour of v is an ancestor of v (by induction along
+    the order), so g is the forest's closure and the test is exact.  A
+    vertex with children is the join of itself with the union of their
+    subtrees; a vertex with one child is its true twin and joins the
+    child's join.
+    """
+    adj = g.adjacency
+    neg = [-len(a) for a in adj]
+    order = sorted(range(g.n), key=neg.__getitem__)  # stable: ties by id
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    children: list[list[int]] = [[] for _ in order]
+    roots: list[int] = []
+    seen: set[int] = set()
+    for v in order:
+        earlier = adj[v] & seen
+        seen.add(v)
+        if not earlier:
+            roots.append(v)
+            continue
+        p = max(earlier, key=rank.__getitem__)
+        if len(adj[v] - adj[p]) != 1:  # adj[v] holds p; anything else is outside N[p]
+            return None
+        children[p].append(v)
+
+    # bottom-up: v's subtree is the join of its chain of true twins with
+    # the union under the chain, if any; low is its smallest vertex and
+    # ulow the union's
+    chain: list[list[int]] = [[] for _ in order]
+    under: list[Cotree | None] = [None] * g.n
+    low = [0] * g.n
+    ulow = [0] * g.n
+
+    def finished(v: int) -> Cotree:
+        twins = sorted(chain[v])
+        leaves: list[Cotree] = [Leaf(t) for t in twins]
+        if under[v] is not None:
+            leaves.insert(bisect_left(twins, ulow[v]), under[v])
+        return leaves[0] if len(leaves) == 1 else Internal(JOIN, tuple(leaves))
+
+    for v in reversed(order):  # children come after their parent in order
+        kids = children[v]
+        if len(kids) == 1:
+            (c,) = kids
+            chain[v] = chain[c]
+            chain[v].append(v)
+            under[v], ulow[v], low[v] = under[c], ulow[c], min(low[c], v)
+            continue
+        chain[v].append(v)
+        low[v] = v
+        if kids:
+            kids.sort(key=low.__getitem__)
+            under[v] = Internal(UNION, tuple(map(finished, kids)))
+            ulow[v] = low[kids[0]]
+            low[v] = min(ulow[v], v)
+    if len(roots) == 1:
+        return finished(roots[0])
+    roots.sort(key=low.__getitem__)
+    return Internal(UNION, tuple(map(finished, roots)))
+
+
+def _split_cotree(g: Graph) -> Cotree:
+    """build_cotree by one split per cotree node, for any nonempty graph.
+
+    Kinds alternate, so a union's children are split only into
+    co-components and a join's only into components; only the root tries
+    both.  A split copies its set of unplaced vertices once that holds
+    under a quarter of the vertices it was built with: a CPython set never
+    shrinks its table and every set operation walks it, so without the
+    copy a deep cotree would cost its depth times the graph's size.
+    """
     root_vs = tuple(range(g.n))
     plan: dict[tuple[int, ...], tuple[str, list[tuple[int, ...]]]] = {}  # in preorder
     stack: list[tuple[tuple[int, ...], str | None]] = [(root_vs, None)]  # part, parent kind

@@ -76,14 +76,31 @@ def max_matching(inst: BipartiteInstance) -> Matching:
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = pair_right[v]
-            if w == _INF or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_left[u] = v
-                pair_right[v] = u
-                return True
-        dist[u] = _INF
+    def dfs(root: int) -> bool:
+        """Augment along one layered path from the free root, depth first
+        on an explicit stack: path[i] reached path[i + 1] through via[i]."""
+        path, via, scans = [root], [], [iter(adj[root])]
+        while scans:
+            u = path[-1]
+            for v in scans[-1]:
+                w = pair_right[v]
+                if w == _INF:
+                    via.append(v)
+                    for x, y in zip(path, via):
+                        pair_left[x] = y
+                        pair_right[y] = x
+                    return True
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    path.append(w)
+                    scans.append(iter(adj[w]))
+                    break
+            else:  # no augmenting path through u in this phase
+                dist[u] = _INF
+                path.pop()
+                scans.pop()
+                if via:
+                    via.pop()
         return False
 
     while bfs():

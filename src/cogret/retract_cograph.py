@@ -118,13 +118,22 @@ def partitioned_retract(inst: PartitionedInstance) -> RetractCertificate | NoRet
 
 
 def _partitioned_on_cotree(
-    g: Graph, tree: Cotree, hset: frozenset[int], h: Graph | None = None
+    g: Graph, tree: Cotree, hset: frozenset[int]
 ) -> RetractCertificate | NoRetract:
-    """partitioned_retract from g's cotree, for a nonempty pattern set.
+    """partitioned_retract from g's cotree, for a nonempty pattern set."""
+    answer = _partitioned_answer(g, tree, hset)
+    if isinstance(answer, RetractCertificate):
+        h, _ = induced_subgraph(g, hset)
+        if not verify_retract_certificate(g, h, answer):
+            raise AssertionError("partitioned solver produced an invalid certificate")
+    return answer
 
-    h, when given, is induced_subgraph(g, hset)'s graph, which a YES is
-    verified against; otherwise it is built on a YES.
-    """
+
+def _partitioned_answer(
+    g: Graph, tree: Cotree, hset: frozenset[int]
+) -> RetractCertificate | NoRetract:
+    """_partitioned_on_cotree's answer before its YES is verified, for a
+    caller that verifies it against the pattern it builds itself."""
     folds, kept = _prune_plan(tree, hset)
     if kept:
         return NoRetract("pruning fixpoint keeps vertices outside the pattern", tuple(kept))
@@ -138,12 +147,7 @@ def _partitioned_on_cotree(
             resolve.update(_coloring_into(branch, [resolve[v] for v in clique]))
     gamma = tuple(sorted(hset))
     index = {v: i for i, v in enumerate(gamma)}
-    cert = RetractCertificate(rho=tuple(index[resolve[v]] for v in range(g.n)), gamma=gamma)
-    if h is None:
-        h, _ = induced_subgraph(g, hset)
-    if not verify_retract_certificate(g, h, cert):
-        raise AssertionError("partitioned solver produced an invalid certificate")
-    return cert
+    return RetractCertificate(rho=tuple(index[resolve[v]] for v in range(g.n)), gamma=gamma)
 
 
 def _prune_plan(

@@ -42,7 +42,7 @@ def threshold_elimination(g: Graph) -> EliminationOrder | None:
     single remaining vertex).  Runs in O(n log n) using the degree-offset
     invariant described in the module docstring.
     """
-    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    order = _degree_order(g)
     lo, hi = 0, g.n - 1
     universals_removed = 0
     steps: list[tuple[int, str]] = []
@@ -60,6 +60,12 @@ def threshold_elimination(g: Graph) -> EliminationOrder | None:
     return EliminationOrder(steps=tuple(steps))
 
 
+def _degree_order(g: Graph) -> list[int]:
+    """Vertices by (degree, id): a stable sort with a C-level key."""
+    deg = list(map(len, g.adjacency))
+    return sorted(range(g.n), key=deg.__getitem__)
+
+
 class _Residue:
     """Two-pointer view of what remains of a threshold graph.
 
@@ -72,7 +78,7 @@ class _Residue:
 
     def __init__(self, g: Graph):
         self.g = g
-        self.order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+        self.order = _degree_order(g)
         self.lo = 0
         self.hi = g.n - 1
         self.offset = 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
 
 from cogret import cotree as cotree_module
@@ -24,6 +24,8 @@ from cogret.cotree import (
     is_trivially_perfect_cotree,
 )
 from cogret.graph_core import Graph, ParseError
+from cogret.matching import BipartiteInstance, Matching
+from cogret.retract_threshold import ISOLATED, UNIVERSAL, EliminationOrder
 
 
 def K(n: int) -> Graph:
@@ -286,6 +288,28 @@ def random_tp_graph(n: int, seed: int) -> Graph:
     return cotree_to_graph(random_tp_cotree(n, seed))
 
 
+def random_forest_graph(n: int, seed: int, depth: int = 40) -> Graph:
+    """Trivially perfect graph: each vertex adjacent to its ancestors in a
+    random rooted forest of fewer than `depth` levels, with runs of only
+    children (chains of true twins) and shuffled ids."""
+    rng = random.Random(f"forest:{n}:{seed}")
+    parent, level = [-1] * n, [0] * n
+    for v in range(1, n):
+        r = rng.random()
+        p = v - 1 if r < 0.3 else rng.randrange(v) if r < 0.9 else -1
+        if p >= 0 and level[p] + 1 < depth:
+            parent[v], level[v] = p, level[p] + 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    for v in range(n):
+        u = parent[v]
+        while u >= 0:
+            edges.append((perm[u], perm[v]))
+            u = parent[u]
+    return Graph(n, edges)
+
+
 def random_cotree(n: int, seed: int) -> Cotree:
     """Arbitrary random normalized cotree with n leaves."""
     rng = random.Random(f"cotree:{n}:{seed}")
@@ -526,3 +550,76 @@ def reference_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ..
         if u < v and v in index
     ]
     return Graph(len(old), edges), old
+
+
+# ---------------------------------------------------------------------------
+# reference solver steps: earlier implementations of threshold elimination
+# and Hopcroft-Karp, kept as oracles for differential tests
+
+
+def reference_threshold_elimination(g: Graph) -> EliminationOrder | None:
+    """threshold_elimination with the (degree, id) tuple key."""
+    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    lo, hi = 0, g.n - 1
+    universals_removed = 0
+    steps: list[tuple[int, str]] = []
+    while lo <= hi:
+        remaining = hi - lo + 1
+        if g.degree(order[lo]) == universals_removed:
+            steps.append((order[lo], ISOLATED))
+            lo += 1
+        elif g.degree(order[hi]) - universals_removed == remaining - 1:
+            steps.append((order[hi], UNIVERSAL))
+            hi -= 1
+            universals_removed += 1
+        else:
+            return None
+    return EliminationOrder(steps=tuple(steps))
+
+
+def reference_max_matching(inst: BipartiteInstance) -> Matching:
+    """max_matching with the recursive augmenting-path search."""
+    adj: list[list[int]] = [[] for _ in range(inst.p)]
+    for u, v in sorted(inst.edges):
+        adj[u].append(v)
+    inf = -1
+    pair_left = [inf] * inst.p
+    pair_right = [inf] * inst.q
+    dist = [0] * inst.p
+
+    def bfs() -> bool:
+        queue: deque[int] = deque()
+        found = False
+        for u in range(inst.p):
+            if pair_left[u] == inf:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = inf
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                w = pair_right[v]
+                if w == inf:
+                    found = True
+                elif dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for v in adj[u]:
+            w = pair_right[v]
+            if w == inf or (dist[w] == dist[u] + 1 and dfs(w)):
+                pair_left[u] = v
+                pair_right[v] = u
+                return True
+        dist[u] = inf
+        return False
+
+    while bfs():
+        for u in range(inst.p):
+            if pair_left[u] == inf:
+                dfs(u)
+    pairs = tuple((u, pair_left[u]) for u in range(inst.p) if pair_left[u] != inf)
+    return Matching(pairs=pairs)

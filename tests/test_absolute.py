@@ -4,15 +4,25 @@ import sys
 
 import pytest
 
+from cogret import absolute
 from cogret.absolute import _with_true_twin, counterexample_embedding, is_absolute_retract
-from cogret.cotree import build_cotree, cotree_to_graph, normalize
-from cogret.graph_core import NoRetract, bfs_distances, induced_subgraph
+from cogret.cotree import NotCographError, build_cotree, cotree_to_graph, normalize
+from cogret.graph_core import (
+    Graph,
+    NoRetract,
+    bfs_distances,
+    components,
+    graph_union,
+    induced_subgraph,
+)
 from cogret.oracle import brute_clique, brute_retract, canonical_graph_key
 from cogret.retract_cograph import PartitionedInstance, partitioned_retract
 
 from tests.helpers import (
     BUTTERFLY,
     K,
+    K1,
+    P4,
     PAW,
     TWO_K2,
     all_connected_cographs,
@@ -85,6 +95,29 @@ class TestVerdicts:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             is_absolute_retract(TWO_K2)
+
+    @pytest.mark.parametrize("test", [is_absolute_retract, counterexample_embedding])
+    @pytest.mark.parametrize(
+        "h, error, message, searched",
+        [
+            (Graph(0), ValueError, "empty graph", False),
+            (TWO_K2, ValueError, "requires a connected graph", False),  # a cograph
+            (graph_union(P4, K1), ValueError, "requires a connected graph", True),
+            (P4, NotCographError, "induced P4", True),  # connected, not a cograph
+        ],
+    )
+    def test_input_errors(self, test, h, error, message, searched, monkeypatch):
+        searches = []
+
+        def counted(g):
+            searches.append(g)
+            return components(g)
+
+        monkeypatch.setattr(absolute, "components", counted)
+        with pytest.raises(error, match=message):
+            test(h)
+        # a cograph's connectivity is read off its cotree's root
+        assert searches == ([h] if searched else [])
 
     def test_verdict_matches_maxclique_membership(self):
         # independent route: enumerate maximum cliques by brute force

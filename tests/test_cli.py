@@ -246,6 +246,17 @@ class TestCotreeBuilds:
 
         monkeypatch.setattr(cli, "induced_subgraph", induced)
         monkeypatch.setattr(retract_cograph, "induced_subgraph", induced)
+        # 2 and 4 hang off the pattern's 1 and 3 in the butterfly's two
+        # triangles, so no retraction folds them away
+        no_set = Path(files["dir"]) / "hset_no.txt"
+        no_set.write_text("0 1 3\n")
+        code, report = run_json(
+            runner, ["retract", files["butterfly.ct"], "--partitioned", str(no_set)]
+        )
+        assert code == 1 and report["route"] == "partitioned"
+        assert list(builds.values()) == [1]
+        assert patterns == []  # a NO needs no pattern graph
+        builds.clear()
         code, report = run_json(
             runner, ["retract", files["butterfly.ct"], "--partitioned", files["hset.txt"]]
         )
@@ -254,7 +265,7 @@ class TestCotreeBuilds:
         # the host is trivially perfect, so classifying it builds its
         # cotree; the pattern is a triangle, which is threshold
         assert list(builds.values()) == [1]
-        # the solver verifies its YES against the pattern the CLI built
+        # the YES is verified against the one pattern graph built
         assert patterns == [[0, 1, 2]]
 
     def test_threshold_solver_eliminates_each_graph_once(self, runner, files, monkeypatch):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import random
+import sys
 from itertools import combinations
 
 import pytest
 
+from cogret import cotree as cotree_module
 from cogret.cotree import (
     COGRAPH,
     Internal,
@@ -15,6 +18,8 @@ from cogret.cotree import (
     TRIVIALLY_PERFECT,
     UNION,
     _PreparedGraph,
+    _forest_cotree,
+    _split_cotree,
     build_cotree,
     canonical_key,
     chromatic_number,
@@ -30,7 +35,7 @@ from cogret.cotree import (
     optimal_coloring,
     parse_cotree,
 )
-from cogret.graph_core import Graph, complement, induced_subgraph, random_cograph
+from cogret.graph_core import Graph, complement, induced_subgraph, random_cograph, relabel
 from cogret.oracle import brute_clique, canonical_graph_key
 from cogret.retract_threshold import threshold_elimination
 
@@ -47,9 +52,11 @@ from tests.helpers import (
     cotree_shape,
     count_cotree_builds,
     random_cotree,
+    random_forest_graph,
     random_graph,
     random_threshold_graph,
     random_tp_graph,
+    sparse_random_threshold_graph,
 )
 
 
@@ -164,6 +171,93 @@ class TestBuildCotree:
         with pytest.raises(NotCographError) as err:
             build_cotree(Graph(604, edges))
         assert err.value.witness == (0, 1, 2, 3)
+
+
+def _shuffled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def _count_splits(monkeypatch) -> list[int]:
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return split(*args)
+
+    split = cotree_module._split
+    monkeypatch.setattr(cotree_module, "_split", counted)
+    return calls
+
+
+class TestForestPass:
+    """Trivially perfect graphs read their cotree off the rooted-forest
+    model; the split builder is the reference."""
+
+    def test_same_tree_on_every_small_cograph(self):
+        rng = random.Random("forest-small")
+        for n in range(1, 8):
+            for g in all_cographs(n):
+                for h in (g, _shuffled(g, rng), _shuffled(g, rng)):
+                    assert build_cotree(h) == _split_cotree(h)
+
+    def test_same_tree_on_random_tp_and_threshold_graphs(self):
+        rng = random.Random("forest-large")
+        graphs = [
+            random_forest_graph(rng.randint(1, 2000 if i % 10 == 0 else 200), i)
+            for i in range(200)
+        ]
+        graphs += [random_tp_graph(rng.randint(2, 300), seed) for seed in range(20)]
+        graphs += [
+            _shuffled(make(rng.randint(1, 300), seed), rng)
+            for seed in range(20)
+            for make in (random_threshold_graph, sparse_random_threshold_graph)
+        ]
+        for g in graphs:
+            forest = _forest_cotree(g)
+            assert forest is not None
+            assert forest == _split_cotree(g)
+
+    def test_accepts_exactly_the_trivially_perfect_graphs(self):
+        for n in range(1, 6):
+            for g in _all_graphs(n):
+                tp = _brute_class(g) in (THRESHOLD, TRIVIALLY_PERFECT)
+                assert (_forest_cotree(g) is not None) == tp, g.edges
+
+    def test_split_builder_only_without_a_forest(self, monkeypatch):
+        graphs = all_cographs(6)
+        with_c4 = [C4] + [g for g in graphs if classify(g).name == COGRAPH]
+        tp = [g for g in graphs if classify(g).name != COGRAPH]
+        tp += [random_forest_graph(300, seed) for seed in range(5)]
+        splits = _count_splits(monkeypatch)
+        for g in tp:
+            build_cotree(g)
+        assert splits[0] == 0
+        for g in with_c4:
+            before = splits[0]
+            build_cotree(g)
+            assert splits[0] > before
+
+    def test_deep_chain_without_recursion(self):
+        g = cotree_to_graph(cotree_chain(1201))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            built = build_cotree(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cotree_shape(built) == cotree_shape(_split_cotree(g))
+
+    def test_p4_witnesses_unchanged(self):
+        graphs = [g for g in _all_graphs(5) if _brute_class(g) == NOT_COGRAPH]
+        graphs += [random_graph(40, seed, p) for seed in range(20) for p in (0.1, 0.5, 0.9)]
+        for g in graphs:
+            with pytest.raises(NotCographError) as built:
+                build_cotree(g)
+            with pytest.raises(NotCographError) as split:
+                _split_cotree(g)
+            assert built.value.witness == split.value.witness
 
 
 class TestWitnessExtraction:

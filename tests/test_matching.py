@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from cogret.matching import BipartiteInstance, Matching, max_matching, saturates_right
+
+from tests.helpers import reference_max_matching
 
 
 def brute_max_matching_size(inst: BipartiteInstance) -> int:
@@ -76,3 +79,34 @@ def test_invalid_instances_rejected():
         BipartiteInstance(p=1, q=1, edges=((0, 1),))
     with pytest.raises(ValueError):
         BipartiteInstance(p=2, q=2, edges=((0, 0), (0, 0)))
+
+
+def test_same_pairs_as_recursive_search():
+    rng = random.Random("matching-vs-recursive")
+    for trial in range(300):
+        p, q = rng.randint(0, 40), rng.randint(0, 40)
+        density = rng.choice((0.05, 0.15, 0.4, 0.9))
+        edges = [(u, v) for u in range(p) for v in range(q) if rng.random() < density]
+        rng.shuffle(edges)
+        inst = BipartiteInstance(p=p, q=q, edges=tuple(edges))
+        assert max_matching(inst).pairs == reference_max_matching(inst).pairs, trial
+
+
+def _chain(k: int) -> BipartiteInstance:
+    """Left i sees rights i and i + 1 for i < k, and left k sees right 0:
+    the first phase matches i to i, so the second augments along all k."""
+    edges = [(i, j) for i in range(k) for j in (i, i + 1)] + [(k, 0)]
+    return BipartiteInstance(p=k + 1, q=k + 1, edges=tuple(edges))
+
+
+def test_long_augmenting_path_without_recursion():
+    small = _chain(50)
+    assert max_matching(small).pairs == reference_max_matching(small).pairs
+    inst = _chain(3000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        m = max_matching(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert m.pairs == tuple((i, i + 1) for i in range(3000)) + ((3000, 0),)

@@ -8,6 +8,7 @@ from cogret.graph_core import (
     Graph,
     NoRetract,
     RetractCertificate,
+    relabel,
     verify_retract_certificate,
 )
 from cogret.oracle import brute_clique, brute_retract
@@ -15,6 +16,7 @@ from cogret.retract_threshold import (
     ISOLATED,
     NotThresholdError,
     UNIVERSAL,
+    _Residue,
     threshold_elimination,
     threshold_retract,
 )
@@ -27,7 +29,10 @@ from tests.helpers import (
     PAW,
     TWO_K2,
     all_threshold_graphs,
+    random_graph,
     random_threshold_graph,
+    reference_threshold_elimination,
+    sparse_random_threshold_graph,
     star,
 )
 
@@ -73,6 +78,18 @@ class TestElimination:
             order = threshold_elimination(g)
             assert order is not None
             assert_valid_elimination(g, order)
+
+    def test_same_steps_as_tuple_key(self):
+        rng = random.Random("elimination-vs-tuple-key")
+        for seed in range(60):
+            n = rng.randint(1, 300)
+            g = (random_threshold_graph if seed % 2 else sparse_random_threshold_graph)(n, seed)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for graph in (g, relabel(g, perm), random_graph(n % 12 + 1, seed)):
+                assert threshold_elimination(graph) == reference_threshold_elimination(graph)
+                by_key = sorted(range(graph.n), key=lambda v: (graph.degree(v), v))
+                assert _Residue(graph).order == by_key
 
 
 class TestThresholdRetract:
