@@ -66,6 +66,13 @@ def _read_text(path: str) -> str:
         raise CommandError(f"cannot read {path}: {exc}")
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc}")
+
+
 def _load_graph(path: str) -> Graph:
     p = Path(path)
     text = _read_text(path)
@@ -319,7 +326,7 @@ def cmd_absolute(h_path, out_path) -> None:
     if verdict.counterexample is not None:
         report["counterexample"] = format_edge_list(verdict.counterexample)
         if out_path:
-            Path(out_path).write_text(format_edge_list(verdict.counterexample))
+            _write_text(out_path, format_edge_list(verdict.counterexample))
             report["counterexample_path"] = out_path
     _emit(report, 0 if verdict.is_absolute else 1)
 
@@ -338,8 +345,8 @@ def cmd_reduce3p(instance_path, out_prefix, force) -> None:
         raise CommandError(f"{instance_path}: {exc}")
     g_path = f"{out_prefix}_G.ct"
     h_path = f"{out_prefix}_H.ct"
-    Path(g_path).write_text(format_cotree(pair.g) + "\n")
-    Path(h_path).write_text(format_cotree(pair.h) + "\n")
+    _write_text(g_path, format_cotree(pair.g) + "\n")
+    _write_text(h_path, format_cotree(pair.h) + "\n")
     report = {
         "command": "reduce3p",
         "inputs": {"instance": _digest(instance_path)},

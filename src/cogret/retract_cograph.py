@@ -18,6 +18,14 @@ levels match pattern components to host components, and join levels
 give each host cocomponent a multiset of pattern cocomponents with the
 same clique-number sum, trying isomorphic host cocomponents in
 non-increasing order only.
+
+Every label also carries its vertex count and independence number (sums
+over a union's children; at a join the count is the sum and the
+independence number the maximum).  A retract is an induced subgraph of
+its host, since gamma is injective and rho carries every non-edge of the
+copy back, so component matching never decides a pair whose pattern has
+more vertices or a larger independence number than its host: such a pair
+can only be a missing matching edge.
 """
 
 from __future__ import annotations
@@ -232,6 +240,8 @@ class _CotreePairs:
         self.kids: list[tuple[int, ...]] = []
         self.omega: list[int] = []
         self.clique: list[bool] = []
+        self.size: list[int] = []  # vertex count
+        self.alpha: list[int] = []  # independence number
         self.labels: dict[int, int] = {}  # id(node) -> label, both cotrees
         self.memo: dict[tuple[int, int], str | _Plan] = {}
         self.roots = (tg, th)  # keeps the labelled nodes, and their ids, alive
@@ -259,12 +269,18 @@ class _CotreePairs:
         if kind == _LEAF:
             self.omega.append(1)
             self.clique.append(True)
-        elif kind == UNION:
+            self.size.append(1)
+            self.alpha.append(1)
+            return label
+        self.size.append(sum(self.size[c] for c in kids))
+        if kind == UNION:
             self.omega.append(max(self.omega[c] for c in kids))
             self.clique.append(False)
+            self.alpha.append(sum(self.alpha[c] for c in kids))
         else:
             self.omega.append(sum(self.omega[c] for c in kids))
             self.clique.append(all(self.clique[c] for c in kids))
+            self.alpha.append(max(self.alpha[c] for c in kids))
         return label
 
     def joined(self, labels: list[int]) -> int:
@@ -296,16 +312,28 @@ class _CotreePairs:
     def _decide_components(self, a: int, b: int) -> str | _Plan:
         """Each pattern component needs its own host component retracting
         onto it.  Equal clique numbers let every other host component map
-        into a pattern component."""
+        into a pattern component.
+
+        A retract is an induced subgraph of its host, so a pair whose
+        pattern has more vertices or a larger independence number than its
+        host is no edge of the matching and is not decided.  Only a pair's
+        YES or NO counts here, so no reported reason changes."""
         gcomps = self.kids[a]
         hcomps = self.kids[b] if self.kind[b] == UNION else (b,)
         p, q = len(gcomps), len(hcomps)
         if q > p:
             return "matching-deficit"
+        size, alpha = self.size, self.alpha
         edges = []
         for i in range(p):  # a loop, not a generator: one stack frame per level
+            x = gcomps[i]
             for j in range(q):
-                if not isinstance(self.decide(gcomps[i], hcomps[j]), str):
+                y = hcomps[j]
+                if (
+                    size[y] <= size[x]
+                    and alpha[y] <= alpha[x]
+                    and not isinstance(self.decide(x, y), str)
+                ):
                     edges.append((i, j))
         matching = max_matching(BipartiteInstance(p=p, q=q, edges=tuple(edges)))
         if not saturates_right(matching, q):

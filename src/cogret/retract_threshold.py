@@ -42,16 +42,16 @@ def threshold_elimination(g: Graph) -> EliminationOrder | None:
     single remaining vertex).  Runs in O(n log n) using the degree-offset
     invariant described in the module docstring.
     """
-    order = _degree_order(g)
+    order, deg = _degree_order(g)
     lo, hi = 0, g.n - 1
     universals_removed = 0
     steps: list[tuple[int, str]] = []
     while lo <= hi:
         remaining = hi - lo + 1
-        if g.degree(order[lo]) == universals_removed:
+        if deg[order[lo]] == universals_removed:
             steps.append((order[lo], ISOLATED))
             lo += 1
-        elif g.degree(order[hi]) - universals_removed == remaining - 1:
+        elif deg[order[hi]] - universals_removed == remaining - 1:
             steps.append((order[hi], UNIVERSAL))
             hi -= 1
             universals_removed += 1
@@ -60,10 +60,11 @@ def threshold_elimination(g: Graph) -> EliminationOrder | None:
     return EliminationOrder(steps=tuple(steps))
 
 
-def _degree_order(g: Graph) -> list[int]:
-    """Vertices by (degree, id): a stable sort with a C-level key."""
+def _degree_order(g: Graph) -> tuple[list[int], list[int]]:
+    """Vertices by (degree, id), a stable sort with a C-level key, and the
+    degree list it sorted by."""
     deg = list(map(len, g.adjacency))
-    return sorted(range(g.n), key=deg.__getitem__)
+    return sorted(range(g.n), key=deg.__getitem__), deg
 
 
 class _Residue:
@@ -74,11 +75,10 @@ class _Residue:
     degree(v) - offset.
     """
 
-    __slots__ = ("g", "order", "lo", "hi", "offset")
+    __slots__ = ("deg", "order", "lo", "hi", "offset")
 
     def __init__(self, g: Graph):
-        self.g = g
-        self.order = _degree_order(g)
+        self.order, self.deg = _degree_order(g)
         self.lo = 0
         self.hi = g.n - 1
         self.offset = 0
@@ -88,16 +88,16 @@ class _Residue:
         return self.hi - self.lo + 1
 
     def min_effective_degree(self) -> int:
-        return self.g.degree(self.order[self.lo]) - self.offset
+        return self.deg[self.order[self.lo]] - self.offset
 
     def max_effective_degree(self) -> int:
-        return self.g.degree(self.order[self.hi]) - self.offset
+        return self.deg[self.order[self.hi]] - self.offset
 
     def isolated_block(self) -> list[int]:
         """All remaining vertices of effective degree zero (a prefix)."""
         out = []
         i = self.lo
-        while i <= self.hi and self.g.degree(self.order[i]) == self.offset:
+        while i <= self.hi and self.deg[self.order[i]] == self.offset:
             out.append(self.order[i])
             i += 1
         return out

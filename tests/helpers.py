@@ -9,6 +9,7 @@ from collections import Counter, deque
 from functools import lru_cache
 
 from cogret import cotree as cotree_module
+from cogret import retract_cograph as cograph_module
 from cogret import retract_threshold as threshold_module
 from cogret.cotree import (
     Internal,
@@ -24,7 +25,7 @@ from cogret.cotree import (
     is_trivially_perfect_cotree,
 )
 from cogret.graph_core import Graph, ParseError
-from cogret.matching import BipartiteInstance, Matching
+from cogret.matching import BipartiteInstance, Matching, max_matching, saturates_right
 from cogret.retract_threshold import ISOLATED, UNIVERSAL, EliminationOrder
 
 
@@ -553,8 +554,8 @@ def reference_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ..
 
 
 # ---------------------------------------------------------------------------
-# reference solver steps: earlier implementations of threshold elimination
-# and Hopcroft-Karp, kept as oracles for differential tests
+# reference solver steps: earlier implementations of threshold elimination,
+# Hopcroft-Karp and component matching, kept as oracles for differential tests
 
 
 def reference_threshold_elimination(g: Graph) -> EliminationOrder | None:
@@ -623,3 +624,35 @@ def reference_max_matching(inst: BipartiteInstance) -> Matching:
                 dfs(u)
     pairs = tuple((u, pair_left[u]) for u in range(inst.p) if pair_left[u] != inf)
     return Matching(pairs=pairs)
+
+
+class ReferenceCotreePairs(cograph_module._CotreePairs):
+    """_CotreePairs whose component matching decides every (host component,
+    pattern component) pair, with no vertex-count or independence-number
+    test in front."""
+
+    def _decide_components(self, a: int, b: int):
+        gcomps = self.kids[a]
+        hcomps = self.kids[b] if self.kind[b] == UNION else (b,)
+        p, q = len(gcomps), len(hcomps)
+        if q > p:
+            return "matching-deficit"
+        edges = []
+        for i in range(p):
+            for j in range(q):
+                if not isinstance(self.decide(gcomps[i], hcomps[j]), str):
+                    edges.append((i, j))
+        matching = max_matching(BipartiteInstance(p=p, q=q, edges=tuple(edges)))
+        if not saturates_right(matching, q):
+            return "matching-deficit"
+        return tuple((i, (j,)) for i, j in matching.pairs)
+
+
+def reference_cotree_pair_retract(g: Graph, h: Graph, tg: Cotree, th: Cotree):
+    """cotree_pair_retract run on ReferenceCotreePairs."""
+    solver = cograph_module._CotreePairs
+    cograph_module._CotreePairs = ReferenceCotreePairs
+    try:
+        return cograph_module.cotree_pair_retract(g, h, tg, th)
+    finally:
+        cograph_module._CotreePairs = solver

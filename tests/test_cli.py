@@ -200,6 +200,22 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "args",
         [
+            ["absolute", "@paw.el", "--out", "@no_such_dir/x.el"],
+            ["reduce3p", "@inst.txt", "@no_such_dir/pre"],
+        ],
+        ids=["absolute-out-unwritable", "reduce3p-prefix-unwritable"],
+    )
+    def test_unwritable_output_exit_2(self, runner, files, args):
+        args = [str(Path(files["dir"]) / a[1:]) if a.startswith("@") else a for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: cannot write" in result.output
+        assert "no_such_dir" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ["retract", "@empty.el", "@empty.el"],
             ["retract", "@k2.el", "@empty.el"],
             ["classify", "@empty.el"],

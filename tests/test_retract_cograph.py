@@ -6,15 +6,20 @@ import sys
 import pytest
 
 from cogret.cotree import (
+    UNION,
     NotCographError,
+    _postorder,
     build_cotree,
     clique_number,
     cotree_leaves,
     cotree_to_graph,
+    max_clique_leaves,
 )
 from cogret.graph_core import (
+    Graph,
     NoRetract,
     RetractCertificate,
+    complement,
     graph_join,
     graph_union,
     induced_subgraph,
@@ -23,14 +28,18 @@ from cogret.graph_core import (
     verify_retract_certificate,
 )
 from cogret.oracle import (
+    brute_clique,
     brute_hom,
     brute_partitioned_retract,
     brute_retract,
 )
 from cogret.retract_cograph import (
+    _LEAF,
     PartitionedInstance,
+    _CotreePairs,
     _partitioned_on_cotree,
     _prune_plan,
+    cotree_pair_retract,
     fpt_retract,
     hom_exists,
     partitioned_retract,
@@ -47,12 +56,16 @@ from tests.helpers import (
     K3,
     P4,
     PAW,
+    ReferenceCotreePairs,
     all_cographs,
+    all_cotrees,
     cotree_chain,
     count_cotree_builds,
     count_eliminations,
+    random_cotree,
     random_threshold_graph,
     random_tp_graph,
+    reference_cotree_pair_retract,
 )
 
 
@@ -198,6 +211,113 @@ class TestFpt:
             result = fpt_retract(g, h)
             if isinstance(result, RetractCertificate):
                 assert clique_number(build_cotree(g)) == clique_number(build_cotree(h))
+
+
+def _with_false_twins(h: Graph, k: int, rng: random.Random) -> Graph:
+    """h plus k vertices, each a false twin of a random earlier vertex.
+    h stays induced and is a retract: each twin maps onto its original."""
+    adj = [set(a) for a in h.adjacency]
+    for _ in range(k):
+        v = rng.randrange(len(adj))
+        w = len(adj)
+        adj.append(set(adj[v]))
+        for u in adj[v]:
+            adj[u].add(w)
+    return Graph(len(adj), [(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
+
+
+def _label_graph(solver: _CotreePairs, label: int) -> Graph:
+    """The graph a solver label stands for, built from its kind and children."""
+    if solver.kind[label] == _LEAF:
+        return K1
+    combine = graph_union if solver.kind[label] == UNION else graph_join
+    graph = _label_graph(solver, solver.kids[label][0])
+    for kid in solver.kids[label][1:]:
+        graph = combine(graph, _label_graph(solver, kid))
+    return graph
+
+
+class TestComponentPruning:
+    """Union levels skip pairs whose pattern has more vertices or a larger
+    independence number than its host; answers must not change."""
+
+    def test_label_counts_and_independence_numbers(self):
+        for n in range(1, 8):
+            for tree in all_cotrees(n):
+                graph = cotree_to_graph(tree)
+                solver = _CotreePairs(tree, tree)
+                for node in _postorder(tree):
+                    label = solver.label(node)
+                    sub, _ = induced_subgraph(graph, cotree_leaves(node))
+                    assert solver.size[label] == sub.n
+                    assert solver.alpha[label] == brute_clique(complement(sub))
+
+    def test_joined_labels_carry_the_same_invariants(self):
+        trees = [t for n in range(1, 6) for t in all_cotrees(n)]
+        checked = 0
+        for tg in trees:
+            for th in trees:
+                solver = _CotreePairs(tg, th)
+                tree_labels = set(solver.labels.values())
+                solver.decide(solver.label(tg), solver.label(th))
+                for label in range(len(solver.kind)):
+                    if label in tree_labels:
+                        continue
+                    graph = _label_graph(solver, label)
+                    assert solver.size[label] == graph.n
+                    assert solver.alpha[label] == brute_clique(complement(graph))
+                    checked += 1
+        assert checked
+
+    def test_same_answers_on_every_small_cograph_pair(self):
+        graphs = [(g, build_cotree(g)) for n in range(1, 7) for g in all_cographs(n)]
+        pairs = 0
+        for g, tg in graphs:
+            for h, th in graphs:
+                if h.n <= g.n:
+                    pruned = cotree_pair_retract(g, h, tg, th)
+                    assert pruned == reference_cotree_pair_retract(g, h, tg, th)
+                    pairs += 1
+        assert pairs == 8251
+
+    def test_same_answers_on_large_random_pairs(self):
+        rng = random.Random("component-pruning")
+        outcomes = set()
+        for n in (50, 200, 1000):
+            for seed in range(2):
+                tp = random_tp_graph(n, seed)
+                general = cotree_to_graph(random_cotree(n, seed))
+                cases = [
+                    (_with_false_twins(tp, n // 10, rng), tp),
+                    (tp, _with_false_twins(tp, 1, rng)),
+                    (_with_false_twins(general, n // 10, rng), general),
+                    (general, _with_false_twins(general, 1, rng)),
+                    (tp, random_tp_graph(rng.randint(n // 4, n), seed + 1)),
+                    (general, cotree_to_graph(random_cotree(rng.randint(n // 4, n), seed + 1))),
+                ]
+                # the fpt route is exponential in |V(H)|: an induced pattern of
+                # a general 1000-vertex cograph can take minutes
+                for g in (tp, general) if n <= 200 else (tp,):
+                    keep = set(max_clique_leaves(build_cotree(g)))
+                    keep |= {v for v in range(g.n) if rng.random() < 0.6}
+                    cases.append((g, induced_subgraph(g, keep)[0]))
+                for g, h in cases:
+                    tg, th = build_cotree(g), build_cotree(h)
+                    pruned = cotree_pair_retract(g, h, tg, th)
+                    assert pruned == reference_cotree_pair_retract(g, h, tg, th)
+                    outcomes.add(getattr(pruned, "reason", "YES"))
+        assert {"YES", "clique-mismatch", "matching-deficit"} <= outcomes
+
+    def test_fewer_memo_entries_on_a_tp_yes_pair(self):
+        h = random_tp_graph(300, 1)
+        g = _with_false_twins(h, 30, random.Random("memo"))
+        tg, th = build_cotree(g), build_cotree(h)
+        memo_sizes = []
+        for solver_class in (_CotreePairs, ReferenceCotreePairs):
+            solver = solver_class(tg, th)
+            assert not isinstance(solver.decide(solver.label(tg), solver.label(th)), str)
+            memo_sizes.append(len(solver.memo))
+        assert memo_sizes[0] < memo_sizes[1]
 
 
 class TestDispatcher:
