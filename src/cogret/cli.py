@@ -3,7 +3,8 @@
 Exit codes for decision commands: 0 = YES, 1 = NO, 2 = error.  Graph
 files are auto-detected by extension: .el edge list, .g6 graph6, .ct
 cotree text.  RETRACT_ORACLE_BUDGET ("STATES" or "VERTICES:STATES")
-overrides the oracle search caps.
+overrides the oracle search caps; any command that runs an oracle
+search past its cap exits 2 with the message.
 """
 
 from __future__ import annotations
@@ -119,7 +120,17 @@ def _emit(report: dict, code: int) -> None:
     sys.exit(code)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; an oracle search past its budget is an error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except oracle_mod.BudgetExceededError as exc:
+            raise CommandError(str(exc))
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Retracts, foldings and absolute retracts in cographs."""
 
@@ -290,12 +301,9 @@ def cmd_folding(g_path) -> None:
         seq = None
         route = "universal"
     else:
-        try:
-            sigma, seq = oracle_mod.brute_folding_number(
-                g, budget or oracle_mod.DEFAULT_FOLDING_BUDGET
-            )
-        except oracle_mod.BudgetExceededError as exc:
-            raise CommandError(str(exc))
+        sigma, seq = oracle_mod.brute_folding_number(
+            g, budget or oracle_mod.DEFAULT_FOLDING_BUDGET
+        )
         route = "oracle"
     report["sigma"] = sigma
     report["route"] = route
@@ -374,10 +382,7 @@ def _oracle_budget() -> oracle_mod.SearchBudget:
 @click.argument("h_path")
 def cmd_oracle_retract(g_path, h_path) -> None:
     g, h = _load_graph(g_path), _load_graph(h_path)
-    try:
-        result = oracle_mod.brute_retract(g, h, _oracle_budget())
-    except oracle_mod.BudgetExceededError as exc:
-        raise CommandError(str(exc))
+    result = oracle_mod.brute_retract(g, h, _oracle_budget())
     report = {
         "command": "oracle retract",
         "inputs": {"g": _digest(g_path), "h": _digest(h_path)},
@@ -391,10 +396,7 @@ def cmd_oracle_retract(g_path, h_path) -> None:
 @click.argument("h_path")
 def cmd_oracle_hom(g_path, h_path) -> None:
     g, h = _load_graph(g_path), _load_graph(h_path)
-    try:
-        phi = oracle_mod.brute_hom(g, h, _oracle_budget())
-    except oracle_mod.BudgetExceededError as exc:
-        raise CommandError(str(exc))
+    phi = oracle_mod.brute_hom(g, h, _oracle_budget())
     report = {
         "command": "oracle hom",
         "inputs": {"g": _digest(g_path), "h": _digest(h_path)},
@@ -411,8 +413,8 @@ def _oracle_value_command(name: str, compute):
         g = _load_graph(g_path)
         try:
             value = compute(g)
-        except oracle_mod.BudgetExceededError as exc:
-            raise CommandError(str(exc))
+        except ValueError as exc:  # the folding number of the empty graph
+            raise CommandError(f"{g_path}: {exc}")
         _emit(
             {
                 "command": f"oracle {name}",

@@ -75,10 +75,6 @@ def cotree_leaves(root: Cotree) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cotree_size(root: Cotree) -> int:
-    return len(cotree_leaves(root))
-
-
 # ---------------------------------------------------------------------------
 # recognition
 
@@ -411,6 +407,8 @@ def clique_table(root: Cotree) -> dict[int, tuple[int, ...]]:
         elif node.kind == UNION:
             cliques[id(node)] = max((cliques[id(c)] for c in node.children), key=len)
         else:
+            # at most one longer than the edges this join adds, so all the
+            # cliques together take time linear in the size of the graph
             cliques[id(node)] = tuple(v for c in node.children for v in cliques[id(c)])
     return cliques
 

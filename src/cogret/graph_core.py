@@ -115,11 +115,6 @@ class NoRetract:
     detail: tuple = ()
 
 
-def identity_certificate(g: Graph) -> RetractCertificate:
-    ident = tuple(range(g.n))
-    return RetractCertificate(rho=ident, gamma=ident)
-
-
 # ---------------------------------------------------------------------------
 # parsing / serialization
 

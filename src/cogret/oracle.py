@@ -3,7 +3,11 @@
 Everything here is deliberately independent of the cotree-based fast
 paths: plain backtracking and state-space enumeration over Graph values.
 These are the reference answers the polynomial solvers are tested
-against, not production solvers.
+against, not production solvers.  One backtracking extender, `_extend`,
+completes a partial map into an edge-preserving one for homomorphism,
+retraction and the partitioned (induced-subgraph) case; one breadth-first
+search over fold quotients up to isomorphism, `_fold_quotients`, serves
+the folding number and `brute_folds_onto`.
 """
 
 from __future__ import annotations
@@ -90,24 +94,29 @@ def brute_hom(
     budget = budget or DEFAULT_RETRACT_BUDGET
     meter = _Meter(budget)
     meter.check_size(g, "brute_hom source")
-    if h.n == 0:
-        return () if g.n == 0 else None
-    phi = [-1] * g.n
-    nbrs = [sorted(g.adjacency[v]) for v in range(g.n)]
+    return _extend(g, h, (), meter)
 
-    def extend(v: int) -> bool:
-        if v == g.n:
+
+def _extend(
+    g: Graph, h: Graph, gamma: tuple[int, ...], meter: _Meter
+) -> tuple[int, ...] | None:
+    """An edge-preserving map phi: g -> h with phi(gamma(y)) = y for every
+    y in gamma, the other vertices filled in vertex order; None if none."""
+    phi = [-1] * g.n
+    for y, x in enumerate(gamma):
+        phi[x] = y
+    free = [v for v in range(g.n) if phi[v] < 0]
+    adj = g.adjacency
+
+    def extend(i: int) -> bool:
+        if i == len(free):
             return True
+        v = free[i]
         for target in range(h.n):
             meter.tick()
-            ok = True
-            for u in nbrs[v]:
-                if phi[u] >= 0 and not h.has_edge(phi[u], target):
-                    ok = False
-                    break
-            if ok:
+            if all(phi[u] < 0 or h.has_edge(phi[u], target) for u in adj[v]):
                 phi[v] = target
-                if extend(v + 1):
+                if extend(i + 1):
                     return True
                 phi[v] = -1
         return False
@@ -160,42 +169,10 @@ def brute_retract(
     if h.n > g.n:
         return NoRetract("pattern larger than host", (h.n, g.n))
     for gamma in _induced_embeddings(g, h, meter):
-        rho = _extend_retraction(g, h, gamma, meter)
+        rho = _extend(g, h, gamma, meter)
         if rho is not None:
             return RetractCertificate(rho=rho, gamma=gamma)
     return NoRetract("exhausted all embeddings and extensions")
-
-
-def _extend_retraction(
-    g: Graph, h: Graph, gamma: tuple[int, ...], meter: _Meter
-) -> tuple[int, ...] | None:
-    rho = [-1] * g.n
-    for y, x in enumerate(gamma):
-        rho[x] = y  # rho(gamma(y)) = y
-    free = [v for v in range(g.n) if rho[v] < 0]
-    nbrs = [sorted(g.adjacency[v]) for v in range(g.n)]
-
-    def extend(i: int) -> bool:
-        if i == len(free):
-            return True
-        v = free[i]
-        for target in range(h.n):
-            meter.tick()
-            ok = True
-            for u in nbrs[v]:
-                if rho[u] >= 0 and not h.has_edge(rho[u], target):
-                    ok = False
-                    break
-            if ok:
-                rho[v] = target
-                if extend(i + 1):
-                    return True
-                rho[v] = -1
-        return False
-
-    if extend(0):
-        return tuple(rho)
-    return None
 
 
 def brute_partitioned_retract(
@@ -213,34 +190,10 @@ def brute_partitioned_retract(
         if g.n == 0:
             return RetractCertificate(rho=(), gamma=())
         return NoRetract("empty pattern set")
-    index = {v: i for i, v in enumerate(old)}
     h, _ = induced_subgraph(g, old)
-    rho = [-1] * g.n
-    for v in old:
-        rho[v] = index[v]
-    free = [v for v in range(g.n) if rho[v] < 0]
-    nbrs = [sorted(g.adjacency[v]) for v in range(g.n)]
-
-    def extend(i: int) -> bool:
-        if i == len(free):
-            return True
-        v = free[i]
-        for target in range(h.n):
-            meter.tick()
-            ok = True
-            for u in nbrs[v]:
-                if rho[u] >= 0 and not h.has_edge(rho[u], target):
-                    ok = False
-                    break
-            if ok:
-                rho[v] = target
-                if extend(i + 1):
-                    return True
-                rho[v] = -1
-        return False
-
-    if extend(0):
-        return RetractCertificate(rho=tuple(rho), gamma=old)
+    rho = _extend(g, h, old, meter)
+    if rho is not None:
+        return RetractCertificate(rho=rho, gamma=old)
     return NoRetract("no retraction fixes the pattern pointwise")
 
 
@@ -474,41 +427,44 @@ def _distance_two_pairs(g: Graph) -> list[tuple[int, int]]:
     return pairs
 
 
-def _fold_component(start: Graph, meter: _Meter) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """BFS over fold quotients of a connected graph; returns (max clique target, steps)."""
-    start_key = canonical_graph_key(start)
-    # key -> (concrete graph as first discovered, parent key, fold applied in parent)
-    seen: dict[bytes, tuple[Graph, bytes | None, tuple[int, int] | None]] = {
-        start_key: (start, None, None)
-    }
-    frontier = [start_key]
-    best_key = None
-    best_size = -1
+def _fold_quotients(start: Graph, meter: _Meter, moves: dict):
+    """Breadth-first search over the fold quotients of start, up to
+    isomorphism: yields (canonical key, graph as first discovered) in
+    order of discovery, start first, and sets moves[key] to (parent key,
+    fold applied in the parent), or (None, None) for start."""
+    key = canonical_graph_key(start)
+    moves[key] = (None, None)
+    yield key, start
+    frontier = [(key, start)]
     while frontier:
-        nxt: list[bytes] = []
-        for key in frontier:
-            graph = seen[key][0]
-            if graph.m == graph.n * (graph.n - 1) // 2:
-                if graph.n > best_size:
-                    best_size = graph.n
-                    best_key = key
-                continue  # complete graphs have no distance-2 pair
+        nxt = []
+        for key, graph in frontier:
             for x, y in _distance_two_pairs(graph):
                 meter.tick()
                 child = apply_fold(graph, x, y)
                 ckey = canonical_graph_key(child)
-                if ckey not in seen:
-                    seen[ckey] = (child, key, (x, y))
-                    nxt.append(ckey)
+                if ckey not in moves:
+                    moves[ckey] = (key, (x, y))
+                    yield ckey, child
+                    nxt.append((ckey, child))
         frontier = nxt
+
+
+def _fold_component(start: Graph, meter: _Meter) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The largest complete fold quotient of a connected graph, first found
+    first: (its size, the folds that reach it)."""
+    moves: dict[bytes, tuple[bytes | None, tuple[int, int] | None]] = {}
+    best_key = None
+    best_size = -1
+    for key, graph in _fold_quotients(start, meter, moves):
+        if graph.n > best_size and graph.m == graph.n * (graph.n - 1) // 2:
+            best_size, best_key = graph.n, key
     assert best_key is not None  # a connected graph always folds to some K_s
     steps: list[tuple[int, int]] = []
-    key: bytes | None = best_key
-    while key is not None:
-        _, parent, move = seen[key]
-        if move is not None:
-            steps.append(move)
-        key = parent
+    key, move = moves[best_key]
+    while move is not None:
+        steps.append(move)
+        key, move = moves[key]
     steps.reverse()
     return best_size, tuple(steps)
 
@@ -521,22 +477,4 @@ def brute_folds_onto(
     meter = _Meter(budget)
     meter.check_size(g, "brute_folds_onto")
     target = canonical_graph_key(h)
-    seen = {canonical_graph_key(g)}
-    frontier = [g]
-    if canonical_graph_key(g) == target:
-        return True
-    while frontier:
-        nxt = []
-        for graph in frontier:
-            for x, y in _distance_two_pairs(graph):
-                meter.tick()
-                child = apply_fold(graph, x, y)
-                ckey = canonical_graph_key(child)
-                if ckey in seen:
-                    continue
-                if ckey == target:
-                    return True
-                seen.add(ckey)
-                nxt.append(child)
-        frontier = nxt
-    return False
+    return any(key == target for key, _ in _fold_quotients(g, meter, {}))

@@ -47,6 +47,7 @@ from .cotree import (
     NotCographError,
     _PreparedGraph,
     _postorder,
+    clique_table,
     cotree_leaves,
     max_clique_leaves,
     optimal_coloring,
@@ -161,30 +162,24 @@ def _partitioned_answer(
 def _prune_plan(
     tree: Cotree, hset: frozenset[int]
 ) -> tuple[list[tuple[Cotree, tuple[int, ...]]], list[int]]:
-    """What repeated pruning of tree keeps, from one pass up and one down.
+    """What repeated pruning of tree keeps, from its clique table and one
+    pass up and one down.
 
     Returns the pruned branches, ancestors before descendants, each with a
     maximum clique of the widest kept sibling it folds into, and the
     sorted non-pattern vertices that are kept.
     """
-    omega: dict[int, int] = {}
+    clique = clique_table(tree)
+
+    def omega(node: Cotree) -> int:
+        return len(clique[id(node)])
+
     has_h: dict[int, bool] = {}
-    clique: dict[int, tuple[int, ...]] = {}
     for node in _postorder(tree):
-        key = id(node)
         if isinstance(node, Leaf):
-            omega[key], has_h[key], clique[key] = 1, node.vertex in hset, (node.vertex,)
-            continue
-        kids = [id(c) for c in node.children]
-        has_h[key] = any(has_h[c] for c in kids)
-        if node.kind == UNION:
-            widest = max(kids, key=omega.__getitem__)
-            omega[key], clique[key] = omega[widest], clique[widest]
+            has_h[id(node)] = node.vertex in hset
         else:
-            omega[key] = sum(omega[c] for c in kids)
-            # at most one longer than the edges this join adds, so all the
-            # cliques together take time linear in the size of the graph
-            clique[key] = tuple(v for c in kids for v in clique[c])
+            has_h[id(node)] = any(has_h[id(c)] for c in node.children)
 
     folds: list[tuple[Cotree, tuple[int, ...]]] = []
     kept: list[int] = []
@@ -201,12 +196,12 @@ def _prune_plan(
         stay = [c for c in node.children if has_h[id(c)]]
         free = [c for c in node.children if not has_h[id(c)]]
         if free:
-            last = max(reversed(free), key=lambda c: omega[id(c)])
-            if all(omega[id(c)] < omega[id(last)] for c in stay):
+            last = max(reversed(free), key=omega)
+            if all(omega(c) < omega(last) for c in stay):
                 stay.append(last)
                 free = [c for c in free if c is not last]
         # ties go to a pattern-bearing child, which comes first in stay
-        target = clique[id(max(stay, key=lambda c: omega[id(c)]))]
+        target = clique[id(max(stay, key=omega))]
         folds.extend((c, target) for c in free)
         stack.extend(stay)
     kept.sort()

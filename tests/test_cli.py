@@ -10,6 +10,7 @@ from cogret import cli, retract_cograph
 from cogret.cli import main
 from cogret.cotree import build_cotree, clique_number, format_cotree
 from cogret.graph_core import (
+    Graph,
     format_edge_list,
     format_graph6,
     induced_subgraph,
@@ -60,6 +61,10 @@ def files(tmp_path):
     write("k2.el", format_edge_list(K2))
     write("k1.el", format_edge_list(K1))
     write("c4.el", format_edge_list(C4))
+    # K1 joined with 6K2: 13 vertices, one of them universal
+    spokes = [(0, v) for v in range(1, 13)]
+    rims = [(v, v + 1) for v in range(1, 13, 2)]
+    write("k1_6k2.el", format_edge_list(Graph(13, spokes + rims)))
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -180,6 +185,8 @@ class TestInputErrors:
             ["retract", "--batch", "@missing.txt"],
             ["reduce3p", "@inst_bad.txt", "@out"],
             ["retract", "@p4.el", "@k1.el", "--solver", "oracle"],
+            ["retract", "@k1_6k2.el", "@k1.el", "--solver", "oracle"],
+            ["folding", "@k1_6k2.el"],
         ],
         ids=[
             "ids-not-integer",
@@ -188,6 +195,8 @@ class TestInputErrors:
             "batch-missing",
             "bad-instance",
             "oracle-not-cograph",
+            "oracle-host-over-vertex-cap",
+            "folding-universal-over-achromatic-cap",
         ],
     )
     def test_exit_2_with_message(self, runner, files, args):
@@ -221,8 +230,16 @@ class TestInputErrors:
             ["classify", "@empty.el"],
             ["folding", "@empty.el"],
             ["absolute", "@empty.el"],
+            ["oracle", "folding", "@empty.el"],
         ],
-        ids=["retract-empty-empty", "retract-k2-empty", "classify-empty", "folding-empty", "absolute-empty"],
+        ids=[
+            "retract-empty-empty",
+            "retract-k2-empty",
+            "classify-empty",
+            "folding-empty",
+            "absolute-empty",
+            "oracle-folding-empty",
+        ],
     )
     def test_empty_graph_exit_2(self, runner, files, args):
         args = [str(Path(files["dir"]) / a[1:]) if a.startswith("@") else a for a in args]

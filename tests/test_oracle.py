@@ -37,6 +37,7 @@ from tests.helpers import (
     P4,
     PAW,
     TWO_K2,
+    cycle,
     random_graph,
 )
 
@@ -252,9 +253,23 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             brute_retract(K(9), K3, SearchBudget(max_vertices=8))
 
-    def test_state_cap(self):
-        with pytest.raises(BudgetExceededError):
-            brute_retract(K(8), K(4), SearchBudget(max_vertices=8, max_states=10))
+    @pytest.mark.parametrize(
+        "search, states",
+        [
+            (lambda b: brute_retract(K(8), K(4), b), 8800),
+            (lambda b: brute_hom(cycle(7), K2, b), 26),
+            (lambda b: brute_partitioned_retract(cycle(7), {0, 1, 2}, b), 18),
+            (lambda b: brute_folding_number(cycle(7), b), 33),
+            (lambda b: brute_folds_onto(cycle(7), K3, b), 32),
+        ],
+        ids=["retract", "hom", "partitioned", "folding-number", "folds-onto"],
+    )
+    def test_state_cap(self, search, states):
+        """Each search finishes within exactly `states` expansions, so the
+        order in which the shared searches tick stays pinned."""
+        search(SearchBudget(max_vertices=8, max_states=states))
+        with pytest.raises(BudgetExceededError, match=f"state cap {states - 1} exceeded"):
+            search(SearchBudget(max_vertices=8, max_states=states - 1))
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
