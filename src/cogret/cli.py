@@ -23,8 +23,8 @@ from . import folding as folding_mod
 from . import oracle as oracle_mod
 from . import reduction as reduction_mod
 from .cotree import (
-    THRESHOLD,
     NotCographError,
+    _NO_CLASS,
     _PreparedGraph,
     classify,
     cotree_leaves,
@@ -39,21 +39,16 @@ from .graph_core import (
     ParseError,
     RetractCertificate,
     format_edge_list,
-    induced_subgraph,
     parse_edge_list,
     parse_graph6,
     verify_retract_certificate,
 )
 from .retract_cograph import (
     PartitionedInstance,
-    _partitioned_answer,
-    _prepared_cograph,
-    _retract_prepared,
-    cotree_pair_retract,
+    _partitioned_on_cotree,
+    _routed_retract,
     partitioned_retract,
 )
-from .retract_threshold import NotThresholdError, _solve_threshold
-from .retract_tp import _prepared_tp
 
 
 class CommandError(click.ClickException):
@@ -121,13 +116,17 @@ def _emit(report: dict, code: int) -> None:
 
 
 class _Main(click.Group):
-    """The command group; an oracle search past its budget is an error."""
+    """The command group; an oracle search past its budget is an error, and
+    so is an input too deep for a recursive solver, which must not exit 1,
+    the code for NO."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except oracle_mod.BudgetExceededError as exc:
             raise CommandError(str(exc))
+        except RecursionError as exc:
+            raise CommandError(f"input too deep for the solver: {exc}")
 
 
 @click.group(cls=_Main)
@@ -192,23 +191,31 @@ def _solve_pair(
                 inst = PartitionedInstance(g, frozenset(int(tok) for tok in text.split()))
             except ValueError as exc:
                 raise CommandError(f"{partitioned_path}: {exc}")
+            pg = _PreparedGraph(g)
             if inst.hset:
-                pg = _prepared_cograph(g)
-                # verified below against the pattern, built only on a YES
-                result = _partitioned_answer(g, pg.cotree, inst.hset)
-                omega_g, omega_h = pg.omega, omega_table(pg.cotree, inst.hset)[id(pg.cotree)]
+                result = _partitioned_on_cotree(g, pg.cotree, inst.hset)
+                omega_h = omega_table(pg.cotree, inst.hset)[id(pg.cotree)]
             else:
-                result = partitioned_retract(inst)  # the empty-pattern answers
-                omega_g, omega_h = _omega(g, None), 0
+                result, omega_h = partitioned_retract(inst), 0  # the empty-pattern answers
             route = "partitioned"
         else:
             assert h_path is not None
             h = _load_graph(h_path)
             report["inputs"]["h"] = _digest(h_path)
-            result, route, prepared = _run_solver(g, h, solver)
-            pg, ph = prepared or (None, None)
+            if solver == "oracle":
+                result, route = oracle_mod.brute_retract(g, h, _oracle_budget()), solver
+                # the one solver that does not verify its own YES
+                if isinstance(result, RetractCertificate) and not verify_retract_certificate(
+                    g, h, result
+                ):
+                    raise CommandError("internal error: certificate failed verification")
+                pg, ph = _PreparedGraph(g), _PreparedGraph(h)  # for the report's omegas
+            else:
+                pg, ph = _PreparedGraph(g), _PreparedGraph(h)
+                result, route = _routed_retract(pg, ph, solver)
             # inside the try: the oracle answers on a non-cograph, whose omega raises
-            omega_g, omega_h = _omega(g, pg), _omega(h, ph)
+            omega_h = ph.omega
+        omega_g = pg.omega
     except (NotCographError, ValueError) as exc:
         # ValueError covers the class errors of the forced routes and the
         # empty graph, which has no class
@@ -218,48 +225,7 @@ def _solve_pair(
     report["omega_g"] = omega_g
     report["omega_h"] = omega_h
     report["millis"] = round(1000 * (time.perf_counter() - started), 3)
-    if isinstance(result, RetractCertificate):
-        if partitioned_path is not None:
-            h, _ = induced_subgraph(g, inst.hset)
-        if not verify_retract_certificate(g, h, result):
-            raise CommandError("internal error: certificate failed verification")
-        return report, 0
-    return report, 1
-
-
-def _run_solver(g: Graph, h: Graph, solver: str):
-    """Run the chosen route.  Returns (result, route, prepared); prepared
-    holds the two prepared graphs when the route made them, so the report
-    reads their clique numbers without building the cotrees again."""
-    if solver == "threshold":
-        pg, ph = _prepared_threshold(g, "host"), _prepared_threshold(h, "pattern")
-        return _solve_threshold(g, h), "threshold", (pg, ph)
-    if solver == "oracle":
-        budget = _budget_from_env() or oracle_mod.SearchBudget(max_vertices=12)
-        return oracle_mod.brute_retract(g, h, budget), "oracle", None
-    if solver == "tp":
-        pg, ph = _prepared_tp(g, "host"), _prepared_tp(h, "pattern")
-    else:
-        pg, ph = _prepared_cograph(g), _prepared_cograph(h)
-    if solver == "auto":
-        result, route = _retract_prepared(pg, ph)
-    else:
-        result, route = cotree_pair_retract(g, h, pg.cotree, ph.cotree), solver
-    return result, route, (pg, ph)
-
-
-def _prepared_threshold(g: Graph, what: str) -> _PreparedGraph | None:
-    """The prepared threshold graph (None if empty), or NotThresholdError."""
-    prepared = _PreparedGraph(g) if g.n else None
-    if prepared and prepared.cls.name != THRESHOLD:
-        raise NotThresholdError(f"{what} graph is not a threshold graph")
-    return prepared
-
-
-def _omega(g: Graph, prepared: _PreparedGraph | None) -> int:
-    if g.n == 0:
-        return 0
-    return (prepared or _PreparedGraph(g)).omega
+    return report, 0 if isinstance(result, RetractCertificate) else 1
 
 
 @main.command(name="classify")
@@ -288,10 +254,9 @@ def cmd_folding(g_path) -> None:
     g = _load_graph(g_path)
     started = time.perf_counter()
     budget = _budget_from_env()
-    try:
-        prepared = _PreparedGraph(g)
-    except ValueError as exc:  # the empty graph, which has no class
-        raise CommandError(f"{g_path}: {exc}")
+    if g.n == 0:
+        raise CommandError(f"{g_path}: {_NO_CLASS}")
+    prepared = _PreparedGraph(g)
     report: dict = {"command": "folding", "inputs": {"g": _digest(g_path)}}
     if prepared.order is not None:
         sigma, seq = folding_mod._threshold_folding(g, prepared.order)

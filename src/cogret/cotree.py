@@ -461,6 +461,9 @@ def _first_nonedge_in(node: Cotree) -> tuple[int, int]:
     raise ValueError("subtree has no non-edge")
 
 
+_NO_CLASS = "the empty graph has no cotree and no class"
+
+
 def classify(g: Graph) -> GraphClass:
     """Report the smallest class among threshold, trivially perfect, cograph.
 
@@ -469,6 +472,8 @@ def classify(g: Graph) -> GraphClass:
     C4.  Witnesses carry the forbidden subgraph blocking the next-smaller
     class.  Raises ValueError on the empty graph.
     """
+    if g.n == 0:
+        raise ValueError(_NO_CLASS)
     return _PreparedGraph(g).cls
 
 
@@ -480,11 +485,12 @@ class _PreparedGraph:
     its clique number without a cotree.  Any other graph is classified from
     its cotree, which is kept.  The cotree is built on first use and at
     most once, so the dispatcher, the solvers and the CLI report share it.
+    The empty graph has the empty elimination order, so it is prepared as
+    threshold with clique number 0; classify and the cotree routes refuse
+    it.
     """
 
     def __init__(self, g: Graph):
-        if g.n == 0:
-            raise ValueError("the empty graph has no cotree and no class")
         self.g = g
         self.order = threshold_elimination(g)
         self._tree: Cotree | None = None
@@ -509,10 +515,11 @@ class _PreparedGraph:
 
     @property
     def omega(self) -> int:
-        """Clique number.  In a threshold graph the universal steps of the
-        elimination and its last vertex form a maximum clique."""
+        """Clique number.  In a nonempty threshold graph the universal steps
+        of the elimination and its last vertex form a maximum clique."""
         if self.order is not None:
-            return 1 + sum(1 for _, tag in self.order.steps if tag == UNIVERSAL)
+            universals = sum(1 for _, tag in self.order.steps if tag == UNIVERSAL)
+            return universals + min(self.g.n, 1)
         return clique_number(self.cotree)
 
 

@@ -416,27 +416,42 @@ def compose_certificates(
 def random_cograph(n: int, seed: int) -> Graph:
     """Deterministic random cograph on n vertices.
 
-    Built by recursively unioning/joining random blocks, so the result is
-    always P4-free.  The same (n, seed) always yields the same graph.
+    A random cotree: every block of k >= 2 vertices splits into a random
+    composition of k, unions and joins alternating from a random root
+    kind.  Its leaves are shuffled and it is realized once, so the time
+    is linear in the size of the graph.  The same (n, seed) always yields
+    the same graph.
     """
+    from .cotree import JOIN, UNION, Internal, Leaf, cotree_to_graph  # cotree imports this module
+
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = random.Random(f"cograph:{n}:{seed}")
-
-    def build(k: int, join_level: bool) -> Graph:
+    plan: list[tuple[str, int]] = []  # (kind, child count) per block, in preorder
+    stack = [(n, rng.random() < 0.5)]
+    while stack:
+        k, join_level = stack.pop()
         if k == 1:
-            return Graph(1)
+            plan.append(("", 0))
+            continue
         parts = _random_composition(rng, k)
-        sub = [build(p, not join_level) for p in parts]
-        acc = sub[0]
-        for nxt in sub[1:]:
-            acc = graph_join(acc, nxt) if join_level else graph_union(acc, nxt)
-        return acc
-
-    g = build(n, rng.random() < 0.5)
+        plan.append((JOIN if join_level else UNION, len(parts)))
+        stack.extend((p, not join_level) for p in reversed(parts))
     perm = list(range(n))
     rng.shuffle(perm)
-    return relabel(g, perm)
+    # in reverse preorder each block's children are done right to left, so
+    # they sit on the stack leftmost on top; leaf i of the preorder is perm[i]
+    built: list = []
+    leaf = n
+    for kind, arity in reversed(plan):
+        if not arity:
+            leaf -= 1
+            built.append(Leaf(perm[leaf]))
+            continue
+        kids = tuple(reversed(built[-arity:]))
+        del built[-arity:]
+        built.append(Internal(kind, kids))
+    return cotree_to_graph(built[0])
 
 
 def _random_composition(rng: random.Random, k: int) -> list[int]:

@@ -35,18 +35,19 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cotree import (
-    GraphClass,
+    COGRAPH,
     Internal,
     JOIN,
     Leaf,
     NOT_COGRAPH,
     THRESHOLD,
-    TRIVIALLY_PERFECT,
     UNION,
     Cotree,
     NotCographError,
+    _NO_CLASS,
     _PreparedGraph,
     _postorder,
+    build_cotree,
     clique_table,
     cotree_leaves,
     max_clique_leaves,
@@ -60,7 +61,7 @@ from .graph_core import (
     verify_retract_certificate,
 )
 from .matching import BipartiteInstance, max_matching, saturates_right
-from .retract_threshold import _solve_threshold
+from .retract_threshold import NotThresholdError, _solve_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +77,8 @@ def hom_exists(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """
     if g.n == 0:
         return True, ()
-    tg = _prepared_cograph(g).cotree
-    th = _prepared_cograph(h).cotree
-    coloring = optimal_coloring(tg)
-    clique = sorted(max_clique_leaves(th))
+    coloring = optimal_coloring(build_cotree(g))
+    clique = sorted(max_clique_leaves(build_cotree(h)))
     chi_g = max(coloring.values()) + 1
     if chi_g > len(clique):
         return False, None
@@ -123,26 +122,14 @@ def partitioned_retract(inst: PartitionedInstance) -> RetractCertificate | NoRet
         if g.n == 0:
             return RetractCertificate(rho=(), gamma=())
         return NoRetract("empty pattern set")
-    return _partitioned_on_cotree(g, _prepared_cograph(g).cotree, hset)
+    return _partitioned_on_cotree(g, build_cotree(g), hset)
 
 
 def _partitioned_on_cotree(
     g: Graph, tree: Cotree, hset: frozenset[int]
 ) -> RetractCertificate | NoRetract:
-    """partitioned_retract from g's cotree, for a nonempty pattern set."""
-    answer = _partitioned_answer(g, tree, hset)
-    if isinstance(answer, RetractCertificate):
-        h, _ = induced_subgraph(g, hset)
-        if not verify_retract_certificate(g, h, answer):
-            raise AssertionError("partitioned solver produced an invalid certificate")
-    return answer
-
-
-def _partitioned_answer(
-    g: Graph, tree: Cotree, hset: frozenset[int]
-) -> RetractCertificate | NoRetract:
-    """_partitioned_on_cotree's answer before its YES is verified, for a
-    caller that verifies it against the pattern it builds itself."""
+    """partitioned_retract from g's cotree, for a nonempty pattern set.
+    The pattern graph is built only to verify a YES."""
     folds, kept = _prune_plan(tree, hset)
     if kept:
         return NoRetract("pruning fixpoint keeps vertices outside the pattern", tuple(kept))
@@ -156,7 +143,11 @@ def _partitioned_answer(
             resolve.update(_coloring_into(branch, [resolve[v] for v in clique]))
     gamma = tuple(sorted(hset))
     index = {v: i for i, v in enumerate(gamma)}
-    return RetractCertificate(rho=tuple(index[resolve[v]] for v in range(g.n)), gamma=gamma)
+    cert = RetractCertificate(rho=tuple(index[resolve[v]] for v in range(g.n)), gamma=gamma)
+    h, _ = induced_subgraph(g, hset)
+    if not verify_retract_certificate(g, h, cert):
+        raise AssertionError("partitioned solver produced an invalid certificate")
+    return cert
 
 
 def _prune_plan(
@@ -233,8 +224,7 @@ class _CotreePairs:
         self.index: dict[tuple[str, tuple[int, ...]], int] = {}
         self.kind: list[str] = []
         self.kids: list[tuple[int, ...]] = []
-        self.omega: list[int] = []
-        self.clique: list[bool] = []
+        self.omega: list[int] = []  # clique number; a clique has omega == size
         self.size: list[int] = []  # vertex count
         self.alpha: list[int] = []  # independence number
         self.labels: dict[int, int] = {}  # id(node) -> label, both cotrees
@@ -263,18 +253,15 @@ class _CotreePairs:
         self.kids.append(kids)
         if kind == _LEAF:
             self.omega.append(1)
-            self.clique.append(True)
             self.size.append(1)
             self.alpha.append(1)
             return label
         self.size.append(sum(self.size[c] for c in kids))
         if kind == UNION:
             self.omega.append(max(self.omega[c] for c in kids))
-            self.clique.append(False)
             self.alpha.append(sum(self.alpha[c] for c in kids))
         else:
             self.omega.append(sum(self.omega[c] for c in kids))
-            self.clique.append(all(self.clique[c] for c in kids))
             self.alpha.append(max(self.alpha[c] for c in kids))
         return label
 
@@ -293,7 +280,7 @@ class _CotreePairs:
             return got
         if self.omega[a] != self.omega[b]:
             got = "clique-mismatch"
-        elif self.clique[b] or a == b:
+        elif self.omega[b] == self.size[b] or a == b:
             got = ()
         elif self.kind[a] == UNION:
             got = self._decide_components(a, b)
@@ -426,7 +413,7 @@ class _CotreePairs:
     def certify(self, gn: Cotree, hn: Cotree, b: int, rho: dict, gamma: dict) -> None:
         """Add the maps of a YES pair to rho and gamma; hn has label b."""
         a = self.label(gn)
-        if self.clique[b]:
+        if self.omega[b] == self.size[b]:
             _clique_maps(gn, hn, rho, gamma)
             return
         if a == b:
@@ -528,23 +515,15 @@ def fpt_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
     component matching, and everything is memoized on interned subtree
     labels.  Raises NotCographError on non-cograph input.
     """
-    return cotree_pair_retract(g, h, _prepared_cograph(g).cotree, _prepared_cograph(h).cotree)
+    return _routed_retract(_PreparedGraph(g), _PreparedGraph(h), "fpt")[0]
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
 
 
-def solver_route(gc: GraphClass, hc: GraphClass) -> str:
-    """Route selection: the fastest solver whose class covers both inputs."""
-    if NOT_COGRAPH in (gc.name, hc.name):
-        raise ValueError("both inputs must be cographs")
-    if gc.name == THRESHOLD and hc.name == THRESHOLD:
-        return "threshold"
-    tp = (THRESHOLD, TRIVIALLY_PERFECT)
-    if gc.name in tp and hc.name in tp:
-        return "tp"
-    return "fpt"
+class NotTriviallyPerfectError(ValueError):
+    """An input graph is not trivially perfect."""
 
 
 def retract(g: Graph, h: Graph) -> tuple[RetractCertificate | NoRetract, str]:
@@ -556,21 +535,40 @@ def retract(g: Graph, h: Graph) -> tuple[RetractCertificate | NoRetract, str]:
     cotree, and the tp and fpt routes reuse the cotrees that
     classification built.
     """
-    return _retract_prepared(_prepared_cograph(g), _prepared_cograph(h))
+    return _routed_retract(_PreparedGraph(g), _PreparedGraph(h), "auto")
 
 
-def _prepared_cograph(g: Graph) -> _PreparedGraph:
-    """The prepared graph, or NotCographError with its P4 witness."""
-    prepared = _PreparedGraph(g)
-    if prepared.cls.name == NOT_COGRAPH:
-        raise NotCographError(prepared.cls.witness)  # type: ignore[arg-type]
-    return prepared
-
-
-def _retract_prepared(
-    pg: _PreparedGraph, ph: _PreparedGraph
+def _routed_retract(
+    pg: _PreparedGraph, ph: _PreparedGraph, route: str
 ) -> tuple[RetractCertificate | NoRetract, str]:
-    route = solver_route(pg.cls, ph.cls)
+    """Decide whether ph's graph is a retract of pg's on route "auto",
+    "threshold", "tp" or "fpt"; returns (result, route taken).
+
+    Each graph, host first, must be in the route's class: threshold
+    raises NotThresholdError, tp NotTriviallyPerfectError naming a P4 or
+    C4, and fpt and auto NotCographError.  Every route but threshold
+    refuses the empty graph with ValueError.  auto takes the fastest route
+    whose class covers both graphs.  The threshold solver walks the two
+    elimination orders and the others run on the two cotrees.
+    """
+    for p, what in ((pg, "host"), (ph, "pattern")):
+        cls = p.cls
+        if route == "threshold":
+            if cls.name != THRESHOLD:
+                raise NotThresholdError(f"{what} graph is not a threshold graph")
+        elif p.g.n == 0:
+            raise ValueError(_NO_CLASS)
+        elif route == "tp" and cls.name == NOT_COGRAPH:
+            raise NotTriviallyPerfectError(
+                f"{what} graph contains an induced P4 on {cls.witness}"
+            )
+        elif route == "tp" and cls.name == COGRAPH:
+            raise NotTriviallyPerfectError(f"{what} graph contains an induced C4")
+        elif cls.name == NOT_COGRAPH:
+            raise NotCographError(cls.witness)  # type: ignore[arg-type]
+    if route == "auto":
+        names = {pg.cls.name, ph.cls.name}
+        route = "threshold" if names == {THRESHOLD} else "fpt" if COGRAPH in names else "tp"
     if route == "threshold":
-        return _solve_threshold(pg.g, ph.g), route
+        return _solve_threshold(pg.g, ph.g, pg.order, ph.order), route
     return cotree_pair_retract(pg.g, ph.g, pg.cotree, ph.cotree), route

@@ -1,11 +1,16 @@
-"""Linear-ish retract decision for pairs of threshold graphs.
+"""Retract decision for pairs of threshold graphs.
 
 Threshold graphs are exactly the graphs in which every induced subgraph
-has a universal or an isolated vertex, so they admit an elimination
-ordering.  Because removing a universal vertex lowers every remaining
-degree by one and removing an isolated vertex changes nothing, the whole
-recursion runs on the original degree sequence with a single offset,
-without materializing any subgraph.
+has a universal or an isolated vertex (Chvatal and Hammer, 1977), so
+repeatedly removing one empties them.  Removing a universal vertex lowers
+every remaining degree by one and removing an isolated vertex changes
+nothing, so the elimination runs on one sort of the degrees with a single
+offset, without materializing any subgraph.
+
+The retract solver reads nothing else: it walks the two graphs'
+elimination orders side by side.  What remains of a graph after some
+steps is what the rest of its order eliminates, so the order answers
+every question the solver asks of a residue.
 """
 
 from __future__ import annotations
@@ -67,54 +72,6 @@ def _degree_order(g: Graph) -> tuple[list[int], list[int]]:
     return sorted(range(g.n), key=deg.__getitem__), deg
 
 
-class _Residue:
-    """Two-pointer view of what remains of a threshold graph.
-
-    Vertices sorted by (degree, id); lo/hi delimit the remaining block and
-    `offset` counts universal removals, so the effective degree of v is
-    degree(v) - offset.
-    """
-
-    __slots__ = ("deg", "order", "lo", "hi", "offset")
-
-    def __init__(self, g: Graph):
-        self.order, self.deg = _degree_order(g)
-        self.lo = 0
-        self.hi = g.n - 1
-        self.offset = 0
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
-    def min_effective_degree(self) -> int:
-        return self.deg[self.order[self.lo]] - self.offset
-
-    def max_effective_degree(self) -> int:
-        return self.deg[self.order[self.hi]] - self.offset
-
-    def isolated_block(self) -> list[int]:
-        """All remaining vertices of effective degree zero (a prefix)."""
-        out = []
-        i = self.lo
-        while i <= self.hi and self.deg[self.order[i]] == self.offset:
-            out.append(self.order[i])
-            i += 1
-        return out
-
-    def pop_universal(self) -> int:
-        v = self.order[self.hi]
-        self.hi -= 1
-        self.offset += 1
-        return v
-
-    def drop_isolated(self, count: int) -> None:
-        self.lo += count
-
-    def remaining(self) -> list[int]:
-        return self.order[self.lo : self.hi + 1]
-
-
 def threshold_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
     """Decide whether h is a retract of g, for threshold graphs only.
 
@@ -125,89 +82,112 @@ def threshold_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
     disconnected, and funnels a disconnected host into a connected
     pattern through the pattern's universal vertex.
     """
-    if threshold_elimination(g) is None:
+    og = threshold_elimination(g)
+    if og is None:
         raise NotThresholdError("host graph is not a threshold graph")
-    if threshold_elimination(h) is None:
+    oh = threshold_elimination(h)
+    if oh is None:
         raise NotThresholdError("pattern graph is not a threshold graph")
-    return _solve_threshold(g, h)
+    return _solve_threshold(g, h, og, oh)
 
 
-def _solve_threshold(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
-    """threshold_retract for inputs the caller knows to be threshold graphs."""
+def _solve_threshold(
+    g: Graph, h: Graph, og: EliminationOrder, oh: EliminationOrder
+) -> RetractCertificate | NoRetract:
+    """threshold_retract from the two graphs' elimination orders.
+
+    The residues are what the unconsumed steps eliminate: one is
+    disconnected when its next step is isolated, its isolated vertices are
+    the run of isolated steps there, and it has an edge while a universal
+    step remains.
+    """
+    gs, hs = og.steps, oh.steps
     rho = [-1] * g.n
     gamma = [-1] * h.n
-    rg = _Residue(g)
-    rh = _Residue(h)
+    i = j = 0  # steps of each order consumed so far
+    g_last_universal = max(
+        (k for k, (_, tag) in enumerate(gs) if tag == UNIVERSAL), default=-1
+    )
 
     while True:
-        if rh.size == 0:
-            if rg.size > 0:
+        if j == len(hs):
+            if i < len(gs):
+                # the residue by (degree, id): the isolated steps in order,
+                # then the universal ones, taken from the top, reversed
+                rest = gs[i:]
                 return NoRetract(
                     "pattern exhausted while host residue is nonempty",
-                    tuple(rg.remaining()),
+                    tuple([v for v, tag in rest if tag == ISOLATED])
+                    + tuple(v for v, tag in reversed(rest) if tag == UNIVERSAL),
                 )
             break
-        if rg.size == 0:
+        if i == len(gs):
             return NoRetract("host exhausted while pattern residue is nonempty")
-        if rh.size == 1:
-            y = rh.order[rh.lo]
-            if rg.max_effective_degree() > 0:
+        if j == len(hs) - 1:
+            y = hs[j][0]
+            if i <= g_last_universal:
                 return NoRetract(
                     "pattern residue is a single vertex but host residue has an edge"
                 )
-            rest = rg.remaining()
+            rest = [x for x, _ in gs[i:]]
             for x in rest:
                 rho[x] = y
             gamma[y] = min(rest)
             break
 
-        g_disconnected = rg.min_effective_degree() == 0
-        h_disconnected = rh.min_effective_degree() == 0
-
-        if not g_disconnected:
+        if gs[i][1] == UNIVERSAL:
             # host residue connected: its universal vertex must pair with one of h's
-            if h_disconnected:
+            if hs[j][1] == ISOLATED:
                 return NoRetract(
                     "host residue is connected but pattern residue is not"
                 )
-            x1 = rg.pop_universal()
-            y1 = rh.pop_universal()
+            x1, y1 = gs[i][0], hs[j][0]
             rho[x1] = y1
             gamma[y1] = x1
+            i += 1
+            j += 1
             continue
 
-        isolated_g = rg.isolated_block()
-        if not h_disconnected:
+        isolated_g = _isolated_run(gs, i)
+        i += len(isolated_g)
+        if hs[j][1] == UNIVERSAL:
             # host disconnected, pattern connected with >= 2 vertices
-            if rg.max_effective_degree() == 0:
+            if i > g_last_universal:
                 return NoRetract(
                     "pattern residue has an edge but host residue is edgeless"
                 )
-            rg.drop_isolated(len(isolated_g))
-            xu = rg.pop_universal()
-            y1 = rh.pop_universal()
+            xu, y1 = gs[i][0], hs[j][0]  # the run ends at a universal step
             for x in isolated_g:
                 rho[x] = y1
             rho[xu] = y1
             gamma[y1] = xu
+            i += 1
+            j += 1
             continue
 
-        isolated_h = rh.isolated_block()
+        isolated_h = _isolated_run(hs, j)
         if len(isolated_h) > len(isolated_g):
             return NoRetract(
                 "pattern residue has more isolated vertices than the host residue",
                 (len(isolated_g), len(isolated_h)),
             )
         b = len(isolated_h)
-        for i, x in enumerate(isolated_g):
-            y = isolated_h[i] if i < b else isolated_h[b - 1]
-            rho[x] = y
-        for i in range(b):
-            gamma[isolated_h[i]] = isolated_g[i]
-        rg.drop_isolated(len(isolated_g))
-        rh.drop_isolated(b)
+        for k, x in enumerate(isolated_g):
+            rho[x] = isolated_h[k] if k < b else isolated_h[b - 1]
+        for k in range(b):
+            gamma[isolated_h[k]] = isolated_g[k]
+        j += b
 
     cert = RetractCertificate(rho=tuple(rho), gamma=tuple(gamma))
     if not verify_retract_certificate(g, h, cert):
         raise AssertionError("threshold solver produced an invalid certificate")
     return cert
+
+
+def _isolated_run(steps: tuple[tuple[int, str], ...], start: int) -> list[int]:
+    """The vertices of the isolated steps from start up to the next
+    universal one: the residue's isolated vertices."""
+    end = start
+    while end < len(steps) and steps[end][1] == ISOLATED:
+        end += 1
+    return [v for v, _ in steps[start:end]]

@@ -24,7 +24,14 @@ from cogret.cotree import (
     cotree_to_graph,
     is_trivially_perfect_cotree,
 )
-from cogret.graph_core import Graph, ParseError
+from cogret.graph_core import (
+    Graph,
+    ParseError,
+    _random_composition,
+    graph_join,
+    graph_union,
+    relabel,
+)
 from cogret.matching import BipartiteInstance, Matching, max_matching, saturates_right
 from cogret.retract_threshold import ISOLATED, UNIVERSAL, EliminationOrder
 
@@ -182,6 +189,11 @@ def count_eliminations(monkeypatch) -> Counter:
     return _count_calls(
         monkeypatch, "threshold_elimination", threshold_module.threshold_elimination
     )
+
+
+def count_degree_sorts(monkeypatch) -> Counter:
+    """count_cotree_builds for the degree sort of the threshold module."""
+    return _count_calls(monkeypatch, "_degree_order", threshold_module._degree_order)
 
 
 def _count_calls(monkeypatch, name: str, original) -> Counter:
@@ -656,3 +668,24 @@ def reference_cotree_pair_retract(g: Graph, h: Graph, tg: Cotree, th: Cotree):
         return cograph_module.cotree_pair_retract(g, h, tg, th)
     finally:
         cograph_module._CotreePairs = solver
+
+
+def reference_random_cograph(n: int, seed: int) -> Graph:
+    """random_cograph as first written: the same draws, realized by
+    recursive graph unions and joins and one relabelling."""
+    rng = random.Random(f"cograph:{n}:{seed}")
+
+    def build(k: int, join_level: bool) -> Graph:
+        if k == 1:
+            return Graph(1)
+        parts = _random_composition(rng, k)
+        sub = [build(p, not join_level) for p in parts]
+        acc = sub[0]
+        for nxt in sub[1:]:
+            acc = graph_join(acc, nxt) if join_level else graph_union(acc, nxt)
+        return acc
+
+    g = build(n, rng.random() < 0.5)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(g, perm)

@@ -6,9 +6,18 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cogret import cli, retract_cograph
+from cogret import retract_cograph
 from cogret.cli import main
-from cogret.cotree import build_cotree, clique_number, format_cotree
+from cogret.cotree import (
+    JOIN,
+    UNION,
+    Internal,
+    Leaf,
+    _PreparedGraph,
+    build_cotree,
+    clique_number,
+    format_cotree,
+)
 from cogret.graph_core import (
     Graph,
     format_edge_list,
@@ -26,6 +35,7 @@ from tests.helpers import (
     K3,
     P4,
     PAW,
+    TWO_K2,
     all_cographs,
     cotree_chain,
     count_cotree_builds,
@@ -222,11 +232,32 @@ class TestInputErrors:
         assert "Error: cannot write" in result.output
         assert "no_such_dir" in result.output
 
+    def test_too_deep_for_the_solver_exit_2(self, runner, tmp_path):
+        # 2K2 against K2+K1, each under 500 vertices added alternately
+        # universal and isolated: a NO the recursive cotree-pair solver
+        # cannot reach
+        paths = []
+        for name, base in (("g", TWO_K2), ("h", Graph(3, [(0, 1)]))):
+            node = build_cotree(base)
+            for i in range(500):
+                node = Internal(UNION if i % 2 else JOIN, (Leaf(base.n + i), node))
+            path = tmp_path / f"{name}.ct"
+            path.write_text(format_cotree(node) + "\n")
+            paths.append(str(path))
+        result = runner.invoke(main, ["retract", *paths])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: input too deep" in result.output
+
     @pytest.mark.parametrize(
         "args",
         [
             ["retract", "@empty.el", "@empty.el"],
             ["retract", "@k2.el", "@empty.el"],
+            ["retract", "@empty.el", "@empty.el", "--solver", "tp"],
+            ["retract", "@k2.el", "@empty.el", "--solver", "tp"],
+            ["retract", "@empty.el", "@empty.el", "--solver", "fpt"],
+            ["retract", "@k2.el", "@empty.el", "--solver", "fpt"],
             ["classify", "@empty.el"],
             ["folding", "@empty.el"],
             ["absolute", "@empty.el"],
@@ -235,6 +266,10 @@ class TestInputErrors:
         ids=[
             "retract-empty-empty",
             "retract-k2-empty",
+            "retract-tp-empty-empty",
+            "retract-tp-k2-empty",
+            "retract-fpt-empty-empty",
+            "retract-fpt-k2-empty",
             "classify-empty",
             "folding-empty",
             "absolute-empty",
@@ -247,6 +282,20 @@ class TestInputErrors:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output and "empty graph" in result.output
+
+    @pytest.mark.parametrize("solver", ["threshold", "oracle"])
+    def test_empty_graph_answered_by_threshold_and_oracle(self, runner, files, solver):
+        code, report = run_json(
+            runner, ["retract", files["empty.el"], files["empty.el"], "--solver", solver]
+        )
+        assert code == 0 and report["route"] == solver
+        assert report["certificate"] == {"rho": [], "gamma": []}
+        assert report["omega_g"] == report["omega_h"] == 0
+        code, report = run_json(
+            runner, ["retract", files["k2.el"], files["empty.el"], "--solver", solver]
+        )
+        assert code == 1 and report["verdict"] == "NO" and report["route"] == solver
+        assert report["omega_g"] == 2 and report["omega_h"] == 0
 
 
 class TestCotreeBuilds:
@@ -277,7 +326,6 @@ class TestCotreeBuilds:
             patterns.append(sorted(vertices))
             return induced_subgraph(g, vertices)
 
-        monkeypatch.setattr(cli, "induced_subgraph", induced)
         monkeypatch.setattr(retract_cograph, "induced_subgraph", induced)
         # 2 and 4 hang off the pattern's 1 and 3 in the butterfly's two
         # triangles, so no retraction folds them away
@@ -316,10 +364,11 @@ class TestCotreeBuilds:
         builds = count_cotree_builds(monkeypatch)
         for g in graphs_g:
             for h in graphs_h:
-                _, route, (pg, ph) = cli._run_solver(g, h, "auto")
+                pg, ph = _PreparedGraph(g), _PreparedGraph(h)
+                _, route = retract_cograph._routed_retract(pg, ph, "auto")
                 before = sum(builds.values())
-                assert cli._omega(g, pg) == clique_number(build_cotree(g))
-                assert cli._omega(h, ph) == clique_number(build_cotree(h))
+                assert pg.omega == clique_number(build_cotree(g))
+                assert ph.omega == clique_number(build_cotree(h))
                 assert sum(builds.values()) == before  # the report adds no builds
                 assert before == 0 if route == "threshold" else max(builds.values()) == 1
                 builds.clear()

@@ -23,7 +23,17 @@ from cogret.graph_core import (
 from cogret.cotree import build_cotree
 from cogret.oracle import brute_retract, canonical_graph_key
 
-from tests.helpers import BUTTERFLY, C4, K1, K2, K3, P4, PAW, random_graph
+from tests.helpers import (
+    BUTTERFLY,
+    C4,
+    K1,
+    K2,
+    K3,
+    P4,
+    PAW,
+    random_graph,
+    reference_random_cograph,
+)
 
 
 class TestParseEdgeList:
@@ -245,3 +255,8 @@ class TestRandomCograph:
     def test_deterministic(self):
         assert random_cograph(9, 123) == random_cograph(9, 123)
         assert random_cograph(9, 123) != random_cograph(9, 124)
+
+    def test_same_graphs_as_recursive_construction(self):
+        for n in range(1, 61):
+            for seed in range(6):
+                assert random_cograph(n, seed) == reference_random_cograph(n, seed)

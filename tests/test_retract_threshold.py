@@ -12,11 +12,12 @@ from cogret.graph_core import (
     verify_retract_certificate,
 )
 from cogret.oracle import brute_clique, brute_retract
+from cogret.retract_cograph import retract
 from cogret.retract_threshold import (
     ISOLATED,
     NotThresholdError,
     UNIVERSAL,
-    _Residue,
+    _degree_order,
     threshold_elimination,
     threshold_retract,
 )
@@ -29,6 +30,7 @@ from tests.helpers import (
     PAW,
     TWO_K2,
     all_threshold_graphs,
+    count_degree_sorts,
     random_graph,
     random_threshold_graph,
     reference_threshold_elimination,
@@ -89,7 +91,7 @@ class TestElimination:
             for graph in (g, relabel(g, perm), random_graph(n % 12 + 1, seed)):
                 assert threshold_elimination(graph) == reference_threshold_elimination(graph)
                 by_key = sorted(range(graph.n), key=lambda v: (graph.degree(v), v))
-                assert _Residue(graph).order == by_key
+                assert _degree_order(graph)[0] == by_key
 
 
 class TestThresholdRetract:
@@ -141,6 +143,15 @@ class TestThresholdRetract:
             result = threshold_retract(g, h)
             if isinstance(result, RetractCertificate):
                 assert brute_clique(g) == brute_clique(h)
+
+    def test_each_graph_sorted_once(self, monkeypatch):
+        sorts = count_degree_sorts(monkeypatch)
+        g, h = random_threshold_graph(60, 1), random_threshold_graph(20, 2)
+        threshold_retract(g, h)
+        assert sorts == {id(g): 1, id(h): 1}
+        sorts.clear()
+        assert retract(g, h)[1] == "threshold"
+        assert sorts == {id(g): 1, id(h): 1}
 
     def test_disconnected_pairs(self):
         # 2K1 retracts onto K1? no: single isolated pattern vs edgeless host
