@@ -1,4 +1,4 @@
-"""Answer digests: every certificate, NO reason and NO detail of two
+"""Answer digests: every certificate, NO reason and NO detail of the
 deterministic solvers over fixed instance families, hashed, so a rewrite
 that changes any answer fails here even where the answer stays valid."""
 
@@ -7,14 +7,16 @@ from __future__ import annotations
 import hashlib
 import random
 
-from cogret.graph_core import induced_subgraph, relabel
-from cogret.retract_cograph import PartitionedInstance, partitioned_retract
+from cogret.graph_core import induced_subgraph, random_cograph, relabel
+from cogret.retract_cograph import PartitionedInstance, partitioned_retract, retract
 from cogret.retract_threshold import UNIVERSAL, threshold_elimination, threshold_retract
 
 from tests.helpers import (
     all_cographs,
     all_threshold_graphs,
+    random_omega_preserving_extension,
     random_threshold_graph,
+    random_tp_graph,
     sparse_random_threshold_graph,
 )
 
@@ -68,6 +70,45 @@ def threshold_answers():
         yield threshold_retract(g, h)
 
 
+def seeded_cotree_pairs(count: int):
+    """Hosts grown from a random trivially perfect graph or cograph by one
+    to three omega-preserving extensions, with shuffled ids, so most pairs
+    are YES.  Every fourth pattern is a random induced subgraph instead."""
+    rng = random.Random("cotree-pair-digest")
+    for i in range(count):
+        make = random_tp_graph if i % 2 else random_cograph
+        h = make(rng.randint(2, 54), rng.randrange(10**6))
+        g = h
+        for _ in range(rng.randint(1, 3)):
+            g = random_omega_preserving_extension(g, rng.randrange(10**6)) or g
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = relabel(g, perm)
+        if i % 4 == 0:
+            h, _ = induced_subgraph(g, [v for v in range(g.n) if rng.random() < 0.7] or [0])
+        yield g, h
+
+
+def cotree_pair_answers():
+    """retract() on every cograph pair with n(G) <= 6 and n(H) <= 5, again
+    with the host's ids shuffled, then on the seeded pairs: the tp and fpt
+    routes, with the threshold route where both graphs are threshold."""
+    rng = random.Random("cotree-pair-relabel")
+    graphs_g = [g for n in range(1, 7) for g in all_cographs(n)]
+    graphs_h = [h for n in range(1, 6) for h in all_cographs(n)]
+    for g in graphs_g:
+        for h in graphs_h:
+            yield retract(g, h)
+    for g in graphs_g:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = relabel(g, perm)
+        for h in graphs_h:
+            yield retract(g, h)
+    for g, h in seeded_cotree_pairs(400):
+        yield retract(g, h)
+
+
 def test_partitioned_answers_are_pinned():
     answers = list(partitioned_answers())
     assert len(answers) == 5087
@@ -80,5 +121,12 @@ def test_threshold_answers_are_pinned():
     assert digest(answers) == THRESHOLD_DIGEST
 
 
+def test_cotree_pair_answers_are_pinned():
+    answers = list(cotree_pair_answers())
+    assert len(answers) == 2 * 107 * 41 + 400
+    assert digest(answers) == COTREE_PAIR_DIGEST
+
+
 PARTITIONED_DIGEST = "d5d5088c45e588413f48fce9d86596f705068fd2f41dbdf9ee8246f94f740b6c"
 THRESHOLD_DIGEST = "97dd91c0d985b7c5da8b70e4dd9bfaeaace27306e4dc8180dfe24bf61aa6e3cc"
+COTREE_PAIR_DIGEST = "3b72f09628fa9d9a9aa43130b42a2aacb36129f76dcfb5a8f885170ae3996e05"
