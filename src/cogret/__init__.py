@@ -7,80 +7,82 @@ numbers, an absolute-retract test and a 3-partition hardness-instance
 generator.
 """
 
-from .absolute import AbsoluteVerdict, counterexample_embedding, is_absolute_retract
-from .cotree import (
-    Cotree,
-    GraphClass,
-    Internal,
-    Leaf,
-    NotCographError,
-    build_cotree,
-    canonical_key,
-    chromatic_number,
-    classify,
-    clique_number,
-    cotree_to_graph,
-    format_cotree,
-    normalize,
-    parse_cotree,
-)
-from .folding import (
-    CompleteColoring,
-    FoldError,
-    FoldSequence,
-    apply_fold,
-    folding_number_universal,
-    threshold_folding_number,
-    verify_fold_sequence,
-)
-from .graph_core import (
-    Graph,
-    NoRetract,
-    ParseError,
-    RetractCertificate,
-    complement,
-    components,
-    compose_certificates,
-    format_edge_list,
-    format_graph6,
-    induced_subgraph,
-    is_homomorphism,
-    parse_edge_list,
-    parse_graph6,
-    random_cograph,
-    verify_retract_certificate,
-)
-from .matching import BipartiteInstance, Matching, max_matching, saturates_right
-from .oracle import (
-    BudgetExceededError,
-    SearchBudget,
-    brute_achromatic,
-    brute_chromatic,
-    brute_clique,
-    brute_folding_number,
-    brute_hom,
-    brute_retract,
-)
-from .reduction import (
-    ThreePartitionInstance,
-    brute_3partition,
-    encode,
-    validate,
-)
-from .retract_cograph import (
-    PartitionedInstance,
-    fpt_retract,
-    hom_exists,
-    partitioned_retract,
-    retract,
-)
-from .retract_threshold import (
-    EliminationOrder,
-    NotThresholdError,
-    threshold_elimination,
-    threshold_retract,
-)
-from .retract_tp import NotTriviallyPerfectError, tp_retract, universal_vertices
+from importlib import import_module
+
+# the module that defines each public name; a name is imported from it on
+# first access, so a process imports only the modules it uses
+_SOURCES = {
+    "absolute": ("AbsoluteVerdict", "counterexample_embedding", "is_absolute_retract"),
+    "cotree": (
+        "Cotree",
+        "GraphClass",
+        "Internal",
+        "Leaf",
+        "NotCographError",
+        "build_cotree",
+        "canonical_key",
+        "chromatic_number",
+        "classify",
+        "clique_number",
+        "cotree_to_graph",
+        "format_cotree",
+        "normalize",
+        "parse_cotree",
+    ),
+    "folding": (
+        "CompleteColoring",
+        "FoldError",
+        "FoldSequence",
+        "apply_fold",
+        "folding_number_universal",
+        "threshold_folding_number",
+        "verify_fold_sequence",
+    ),
+    "graph_core": (
+        "Graph",
+        "NoRetract",
+        "ParseError",
+        "RetractCertificate",
+        "complement",
+        "components",
+        "compose_certificates",
+        "format_edge_list",
+        "format_graph6",
+        "induced_subgraph",
+        "is_homomorphism",
+        "parse_edge_list",
+        "parse_graph6",
+        "random_cograph",
+        "verify_retract_certificate",
+    ),
+    "matching": ("BipartiteInstance", "Matching", "max_matching", "saturates_right"),
+    "oracle": (
+        "BudgetExceededError",
+        "SearchBudget",
+        "brute_achromatic",
+        "brute_chromatic",
+        "brute_clique",
+        "brute_folding_number",
+        "brute_hom",
+        "brute_retract",
+    ),
+    "reduction": ("ThreePartitionInstance", "brute_3partition", "encode", "validate"),
+    "retract_cograph": (
+        "PartitionedInstance",
+        "fpt_retract",
+        "hom_exists",
+        "partitioned_retract",
+        "retract",
+    ),
+    "retract_threshold": (
+        "EliminationOrder",
+        "NotThresholdError",
+        "threshold_elimination",
+        "threshold_retract",
+    ),
+    "retract_tp": ("NotTriviallyPerfectError", "tp_retract", "universal_vertices"),
+}
+_SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __all__ = [
     "AbsoluteVerdict",
@@ -151,3 +153,19 @@ __all__ = [
     "verify_fold_sequence",
     "verify_retract_certificate",
 ]
+
+
+def __getattr__(name: str):
+    """Import a public name, or a submodule, on first access."""
+    module = _SOURCE_OF.get(name)
+    if module is not None:
+        value = getattr(import_module(f".{module}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SOURCES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

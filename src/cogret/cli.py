@@ -4,7 +4,9 @@ Exit codes for decision commands: 0 = YES, 1 = NO, 2 = error.  Graph
 files are auto-detected by extension: .el edge list, .g6 graph6, .ct
 cotree text.  RETRACT_ORACLE_BUDGET ("STATES" or "VERTICES:STATES")
 overrides the oracle search caps; any command that runs an oracle
-search past its cap exits 2 with the message.
+search past its cap exits 2 with the message.  Each command imports only
+the modules it runs, so a process starts quickly even without cached
+bytecode.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from pathlib import Path
 
 import click
 
-from . import absolute as absolute_mod
-from . import folding as folding_mod
-from . import oracle as oracle_mod
-from . import reduction as reduction_mod
 from .cotree import (
     NotCographError,
     _NO_CLASS,
@@ -42,12 +40,6 @@ from .graph_core import (
     parse_edge_list,
     parse_graph6,
     verify_retract_certificate,
-)
-from .retract_cograph import (
-    PartitionedInstance,
-    _partitioned_on_cotree,
-    _routed_retract,
-    partitioned_retract,
 )
 
 
@@ -86,10 +78,13 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _budget_from_env() -> oracle_mod.SearchBudget | None:
+def _budget_from_env():
+    """The oracle's SearchBudget from RETRACT_ORACLE_BUDGET, or None."""
     raw = os.environ.get("RETRACT_ORACLE_BUDGET")
     if not raw:
         return None
+    from . import oracle as oracle_mod
+
     try:
         if ":" in raw:
             verts, states = raw.split(":", 1)
@@ -118,15 +113,19 @@ def _emit(report: dict, code: int) -> None:
 class _Main(click.Group):
     """The command group; an oracle search past its budget is an error, and
     so is an input too deep for a recursive solver, which must not exit 1,
-    the code for NO."""
+    the code for NO.  A budget error can only come from an imported oracle,
+    so the oracle is looked up, not imported, when a command ends."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except oracle_mod.BudgetExceededError as exc:
-            raise CommandError(str(exc))
         except RecursionError as exc:
             raise CommandError(f"input too deep for the solver: {exc}")
+        except Exception as exc:
+            oracle_mod = sys.modules.get(f"{__package__}.oracle")
+            if oracle_mod is not None and isinstance(exc, oracle_mod.BudgetExceededError):
+                raise CommandError(str(exc))
+            raise
 
 
 @click.group(cls=_Main)
@@ -181,6 +180,13 @@ def cmd_retract(g_path, h_path, solver, partitioned_path, batch_path) -> None:
 def _solve_pair(
     g_path: str, h_path: str | None, solver: str, partitioned_path: str | None
 ) -> tuple[dict, int]:
+    from .retract_cograph import (
+        PartitionedInstance,
+        _partitioned_on_cotree,
+        _routed_retract,
+        partitioned_retract,
+    )
+
     g = _load_graph(g_path)
     started = time.perf_counter()
     report: dict = {"command": "retract", "inputs": {"g": _digest(g_path)}}
@@ -203,6 +209,8 @@ def _solve_pair(
             h = _load_graph(h_path)
             report["inputs"]["h"] = _digest(h_path)
             if solver == "oracle":
+                from . import oracle as oracle_mod
+
                 result, route = oracle_mod.brute_retract(g, h, _oracle_budget()), solver
                 # the one solver that does not verify its own YES
                 if isinstance(result, RetractCertificate) and not verify_retract_certificate(
@@ -251,6 +259,8 @@ def cmd_classify(g_path) -> None:
 @click.argument("g_path")
 def cmd_folding(g_path) -> None:
     """Compute the folding number, with a verified fold sequence when cheap."""
+    from . import folding as folding_mod
+
     g = _load_graph(g_path)
     started = time.perf_counter()
     budget = _budget_from_env()
@@ -266,6 +276,8 @@ def cmd_folding(g_path) -> None:
         seq = None
         route = "universal"
     else:
+        from . import oracle as oracle_mod
+
         sigma, seq = oracle_mod.brute_folding_number(
             g, budget or oracle_mod.DEFAULT_FOLDING_BUDGET
         )
@@ -285,6 +297,8 @@ def cmd_folding(g_path) -> None:
 @click.option("--out", "out_path", default=None, help="Write the counterexample here (.el).")
 def cmd_absolute(h_path, out_path) -> None:
     """Test whether the input is an absolute retract for cographs."""
+    from . import absolute as absolute_mod
+
     h = _load_graph(h_path)
     try:
         verdict = absolute_mod.is_absolute_retract(h)
@@ -310,6 +324,8 @@ def cmd_absolute(h_path, out_path) -> None:
 @click.option("--force", is_flag=True, help="Encode even if the instance is invalid.")
 def cmd_reduce3p(instance_path, out_prefix, force) -> None:
     """Encode a 3-partition instance as cotree files PREFIX_G.ct, PREFIX_H.ct."""
+    from . import reduction as reduction_mod
+
     text = _read_text(instance_path)
     try:
         inst = reduction_mod.parse_instance(text)
@@ -338,7 +354,10 @@ def cmd_oracle() -> None:
     """Budgeted exact searches (ground truth for small inputs)."""
 
 
-def _oracle_budget() -> oracle_mod.SearchBudget:
+def _oracle_budget():
+    """The oracle commands' SearchBudget: the environment's, or 12 vertices."""
+    from . import oracle as oracle_mod
+
     return _budget_from_env() or oracle_mod.SearchBudget(max_vertices=12)
 
 
@@ -346,6 +365,8 @@ def _oracle_budget() -> oracle_mod.SearchBudget:
 @click.argument("g_path")
 @click.argument("h_path")
 def cmd_oracle_retract(g_path, h_path) -> None:
+    from . import oracle as oracle_mod
+
     g, h = _load_graph(g_path), _load_graph(h_path)
     result = oracle_mod.brute_retract(g, h, _oracle_budget())
     report = {
@@ -360,6 +381,8 @@ def cmd_oracle_retract(g_path, h_path) -> None:
 @click.argument("g_path")
 @click.argument("h_path")
 def cmd_oracle_hom(g_path, h_path) -> None:
+    from . import oracle as oracle_mod
+
     g, h = _load_graph(g_path), _load_graph(h_path)
     phi = oracle_mod.brute_hom(g, h, _oracle_budget())
     report = {
@@ -372,12 +395,16 @@ def cmd_oracle_hom(g_path, h_path) -> None:
 
 
 def _oracle_value_command(name: str, compute):
+    """An oracle command printing compute(oracle module, graph)."""
+
     @cmd_oracle.command(name=name)
     @click.argument("g_path")
     def _cmd(g_path):
+        from . import oracle as oracle_mod
+
         g = _load_graph(g_path)
         try:
-            value = compute(g)
+            value = compute(oracle_mod, g)
         except ValueError as exc:  # the folding number of the empty graph
             raise CommandError(f"{g_path}: {exc}")
         _emit(
@@ -392,15 +419,15 @@ def _oracle_value_command(name: str, compute):
     return _cmd
 
 
-_oracle_value_command("clique", lambda g: oracle_mod.brute_clique(g, _oracle_budget()))
+_oracle_value_command("clique", lambda oracle, g: oracle.brute_clique(g, _oracle_budget()))
 _oracle_value_command(
-    "chromatic", lambda g: oracle_mod.brute_chromatic(g, _oracle_budget())
+    "chromatic", lambda oracle, g: oracle.brute_chromatic(g, _oracle_budget())
 )
 _oracle_value_command(
-    "achromatic", lambda g: oracle_mod.brute_achromatic(g, _oracle_budget())[0]
+    "achromatic", lambda oracle, g: oracle.brute_achromatic(g, _oracle_budget())[0]
 )
 _oracle_value_command(
-    "folding", lambda g: oracle_mod.brute_folding_number(g, _oracle_budget())[0]
+    "folding", lambda oracle, g: oracle.brute_folding_number(g, _oracle_budget())[0]
 )
 
 

@@ -11,7 +11,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
-from operator import add
+from operator import add, eq
 from typing import Iterable, Iterator, Sequence
 
 
@@ -371,7 +371,7 @@ def is_homomorphism(g: Graph, h: Graph, phi: VertexMap) -> bool:
     """
     if len(phi) != g.n:
         return False
-    if any(not (0 <= x < h.n) for x in phi):
+    if phi and not (0 <= min(phi) and max(phi) < h.n):
         return False
     for u, nbrs in enumerate(g.adjacency):
         image = h.adjacency[phi[u]]
@@ -389,7 +389,7 @@ def verify_retract_certificate(g: Graph, h: Graph, cert: RetractCertificate) -> 
         return False
     if not is_homomorphism(h, g, cert.gamma):
         return False
-    return all(cert.rho[cert.gamma[y]] == y for y in range(h.n))
+    return all(map(eq, map(cert.rho.__getitem__, cert.gamma), range(h.n)))
 
 
 def compose_certificates(

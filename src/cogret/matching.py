@@ -5,6 +5,11 @@ and general routes share, gives every pattern component its own host
 component by bipartite matching; the instance is always bipartite, so
 general matching machinery is unnecessary and the O(E sqrt(V)) bound is
 kept.  Processing order is fixed so results are deterministic.
+
+One private core, `_hopcroft_karp`, runs on a plain edge list in (left,
+right) order: the solver calls it on the edges it builds in that order,
+and `max_matching` calls it after `BipartiteInstance` has validated the
+edges and they are sorted.
 """
 
 from __future__ import annotations
@@ -49,17 +54,45 @@ class Matching:
 
 def max_matching(inst: BipartiteInstance) -> Matching:
     """Maximum-cardinality matching; deterministic for a fixed input order."""
-    adj: list[list[int]] = [[] for _ in range(inst.p)]
-    for u, v in sorted(inst.edges):
+    return Matching(pairs=_hopcroft_karp(inst.p, inst.q, sorted(inst.edges)))
+
+
+def _hopcroft_karp(
+    p: int, q: int, edges: list[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
+    """Maximum matching of left vertices 0..p-1 to right vertices 0..q-1
+    along valid, distinct edges given in (left, right) order; its pairs
+    in left order."""
+    adj: list[list[int]] = [[] for _ in range(p)]
+    for u, v in edges:
         adj[u].append(v)
-    pair_left = [_INF] * inst.p
-    pair_right = [_INF] * inst.q
-    dist = [0] * inst.p
+    pair_left = [_INF] * p
+    pair_right = [_INF] * q
+    matched = 0
+    # the first phase, whose augmenting paths are single edges: each free
+    # left vertex in turn takes its first free right vertex
+    for u in range(p):
+        for v in adj[u]:
+            if pair_right[v] == _INF:
+                pair_left[u] = v
+                pair_right[v] = u
+                matched += 1
+                break
+    if matched < min(p, q):
+        _augment(adj, pair_left, pair_right)
+    return tuple((u, pair_left[u]) for u in range(p) if pair_left[u] != _INF)
+
+
+def _augment(adj: list[list[int]], pair_left: list[int], pair_right: list[int]) -> None:
+    """The later Hopcroft-Karp phases: augment the matching in place along
+    shortest alternating paths until none is left."""
+    p = len(adj)
+    dist = [0] * p
 
     def bfs() -> bool:
         queue: deque[int] = deque()
         found = False
-        for u in range(inst.p):
+        for u in range(p):
             if pair_left[u] == _INF:
                 dist[u] = 0
                 queue.append(u)
@@ -104,11 +137,9 @@ def max_matching(inst: BipartiteInstance) -> Matching:
         return False
 
     while bfs():
-        for u in range(inst.p):
+        for u in range(p):
             if pair_left[u] == _INF:
                 dfs(u)
-    pairs = tuple((u, pair_left[u]) for u in range(inst.p) if pair_left[u] != _INF)
-    return Matching(pairs=pairs)
 
 
 def saturates_right(matching: Matching, q: int) -> bool:

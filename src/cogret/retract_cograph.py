@@ -17,15 +17,22 @@ pattern is a clique, or when the labels are equal.  Otherwise union
 levels match pattern components to host components, and join levels
 give each host cocomponent a multiset of pattern cocomponents with the
 same clique-number sum, trying isomorphic host cocomponents in
-non-increasing order only.
+non-increasing order only.  Where both sides of a join have equally many
+cocomponents each multiset is one cocomponent, and the search walks
+class indices with the same decisions in the same order.  A connected
+pattern at a union takes the first host component that retracts onto
+it, as the matching would; other unions run the matching module's
+private Hopcroft-Karp core on the edge list the solver builds.  Labels
+interned during the search, for joins of pattern cocomponents, serve
+only as memo keys: every sort key reads labels fixed at construction.
 
 Every label also carries its vertex count and independence number (sums
 over a union's children; at a join the count is the sum and the
-independence number the maximum).  A retract is an induced subgraph of
-its host, since gamma is injective and rho carries every non-edge of the
-copy back, so component matching never decides a pair whose pattern has
-more vertices or a larger independence number than its host: such a pair
-can only be a missing matching edge.
+independence number the maximum).  A retract has its host's clique
+number and is an induced subgraph of it, since gamma is injective and rho
+carries every non-edge of the copy back, so component matching never decides a pair whose pattern has
+another clique number, more vertices or a larger independence number
+than its host: such a pair can only be a missing matching edge.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from .graph_core import (
     induced_subgraph,
     verify_retract_certificate,
 )
-from .matching import BipartiteInstance, max_matching, saturates_right
+from .matching import _hopcroft_karp
 from .retract_threshold import NotThresholdError, _solve_threshold
 
 
@@ -230,15 +237,17 @@ class _CotreePairs:
         self.labels: dict[int, int] = {}  # id(node) -> label, both cotrees
         self.memo: dict[tuple[int, int], str | _Plan] = {}
         self.roots = (tg, th)  # keeps the labelled nodes, and their ids, alive
+        index, labels = self.index, self.labels
+        leaf = self.intern(_LEAF, ())  # label 0, as every postorder starts at a leaf
         for root in self.roots:
             for node in _postorder(root):
                 if isinstance(node, Leaf):
-                    label = self.intern(_LEAF, ())
-                else:
-                    label = self.intern(
-                        node.kind, tuple(sorted(self.label(c) for c in node.children))
-                    )
-                self.labels[id(node)] = label
+                    labels[id(node)] = leaf
+                    continue
+                kind = node.kind
+                kids = tuple(sorted([labels[id(c)] for c in node.children]))
+                label = index.get((kind, kids))
+                labels[id(node)] = self.intern(kind, kids) if label is None else label
 
     def label(self, node: Cotree) -> int:
         return self.labels[id(node)]
@@ -256,13 +265,14 @@ class _CotreePairs:
             self.size.append(1)
             self.alpha.append(1)
             return label
-        self.size.append(sum(self.size[c] for c in kids))
+        omega, alpha = map(self.omega.__getitem__, kids), map(self.alpha.__getitem__, kids)
+        self.size.append(sum(map(self.size.__getitem__, kids)))
         if kind == UNION:
-            self.omega.append(max(self.omega[c] for c in kids))
-            self.alpha.append(sum(self.alpha[c] for c in kids))
+            self.omega.append(max(omega))
+            self.alpha.append(sum(alpha))
         else:
-            self.omega.append(sum(self.omega[c] for c in kids))
-            self.alpha.append(max(self.alpha[c] for c in kids))
+            self.omega.append(sum(omega))
+            self.alpha.append(max(alpha))
         return label
 
     def joined(self, labels: list[int]) -> int:
@@ -275,7 +285,8 @@ class _CotreePairs:
 
     def decide(self, a: int, b: int) -> str | _Plan:
         """Does the pattern labelled b retract out of the host labelled a?"""
-        got = self.memo.get((a, b))
+        key = (a, b)
+        got = self.memo.get(key)
         if got is not None:
             return got
         if self.omega[a] != self.omega[b]:
@@ -286,9 +297,11 @@ class _CotreePairs:
             got = self._decide_components(a, b)
         elif self.kind[b] == UNION:
             got = "matching-deficit"  # no connected graph has a disconnected retract
+        elif len(self.kids[b]) == len(self.kids[a]):
+            got = self._decide_equal(a, b)
         else:
             got = self._decide_join(a, b)
-        self.memo[(a, b)] = got
+        self.memo[key] = got
         return got
 
     def _decide_components(self, a: int, b: int) -> str | _Plan:
@@ -296,31 +309,110 @@ class _CotreePairs:
         onto it.  Equal clique numbers let every other host component map
         into a pattern component.
 
-        A retract is an induced subgraph of its host, so a pair whose
-        pattern has more vertices or a larger independence number than its
-        host is no edge of the matching and is not decided.  Only a pair's
-        YES or NO counts here, so no reported reason changes."""
+        A retract is an induced subgraph of its host with the same clique
+        number, so a pair whose pattern has another clique number, more
+        vertices or a larger independence number than its host is no edge
+        of the matching and is not decided.  Only a pair's YES or NO counts
+        here, so no reported reason changes.  A connected
+        pattern is one component, and the matching would take the first
+        host component it has an edge to: host components are decided in
+        order up to the first YES."""
         gcomps = self.kids[a]
-        hcomps = self.kids[b] if self.kind[b] == UNION else (b,)
+        omega, size, alpha = self.omega, self.size, self.alpha
+        if self.kind[b] != UNION:
+            for i in range(len(gcomps)):  # a loop, not a generator: one stack frame per level
+                x = gcomps[i]
+                if (
+                    omega[b] == omega[x]
+                    and size[b] <= size[x]
+                    and alpha[b] <= alpha[x]
+                    and not isinstance(self.decide(x, b), str)
+                ):
+                    return ((i, (0,)),)
+            return "matching-deficit"
+        hcomps = self.kids[b]
         p, q = len(gcomps), len(hcomps)
         if q > p:
             return "matching-deficit"
-        size, alpha = self.size, self.alpha
-        edges = []
-        for i in range(p):  # a loop, not a generator: one stack frame per level
+        edges = []  # in (i, j) order
+        for i in range(p):
             x = gcomps[i]
             for j in range(q):
                 y = hcomps[j]
                 if (
-                    size[y] <= size[x]
+                    omega[y] == omega[x]
+                    and size[y] <= size[x]
                     and alpha[y] <= alpha[x]
                     and not isinstance(self.decide(x, y), str)
                 ):
                     edges.append((i, j))
-        matching = max_matching(BipartiteInstance(p=p, q=q, edges=tuple(edges)))
-        if not saturates_right(matching, q):
+        pairs = _hopcroft_karp(p, q, edges)
+        if len(pairs) < q:
             return "matching-deficit"
-        return tuple((i, (j,)) for i, j in matching.pairs)
+        return tuple((i, (j,)) for i, j in pairs)
+
+    def _decide_equal(self, a: int, b: int) -> str | _Plan:
+        """_decide_join when host and pattern have equally many
+        cocomponents, so each host cocomponent takes exactly one pattern
+        cocomponent and a multiset is one class index.
+
+        Hosts go in (omega, label) order.  Each but the last tries, in
+        (omega, label) order, the classes of its own clique number that
+        still have an item; an isomorphic successor starts at its
+        predecessor's class, as the multisets there are non-increasing.
+        The last host takes the item left, under the same bound.  This
+        makes the decide calls of the multiset search in the same order, so
+        the plan and the first NO reason are the same.
+        """
+        omega = self.omega
+        gk, hk = self.kids[a], self.kids[b]  # both sorted by label
+        last = len(gk) - 1
+        # stable sorts on omega alone keep label order among equals
+        order = sorted(range(last + 1), key=list(map(omega.__getitem__, gk)).__getitem__)
+        hosts = list(map(gk.__getitem__, order))
+        tally = dict.fromkeys(hk, 0)
+        for y in hk:
+            tally[y] += 1
+        classes = sorted(tally, key=omega.__getitem__)
+        weights = list(map(omega.__getitem__, classes))
+        left = list(map(tally.__getitem__, classes))
+        picks: list[int] = []  # class index taken by hosts[:len(picks)]
+        k = 0  # the next class index hosts[len(picks)] tries
+        first_no = None
+        while True:
+            i = len(picks)
+            x = hosts[i]
+            if i < last:
+                w = omega[x]
+                while k < len(weights) and (weights[k] < w or not left[k]):
+                    k += 1
+                found = k < len(weights) and weights[k] == w
+            else:  # the one item left, if the bound allows it
+                j = left.index(1)
+                found = j >= k
+                k = j
+            if found:
+                got = self.decide(x, classes[k])
+                if isinstance(got, str):
+                    first_no = first_no or got
+                    k += 1
+                    continue
+                picks.append(k)
+                if i == last:
+                    break
+                left[k] -= 1
+                if hosts[i + 1] != x:
+                    k = 0
+                continue
+            if not picks:
+                return first_no or "universal-count"
+            k = picks.pop()
+            left[k] += 1
+            k += 1
+        pool: dict[int, list[int]] = {}
+        for j, y in enumerate(hk):
+            pool.setdefault(y, []).append(j)
+        return tuple((i, (pool[classes[c]].pop(),)) for i, c in zip(order, picks))
 
     def _decide_join(self, a: int, b: int) -> str | _Plan:
         """Give each host cocomponent a nonempty multiset of pattern
@@ -332,7 +424,10 @@ class _CotreePairs:
         and the last one takes what is left.  On trivially perfect inputs
         this is forced: universal leaf to universal leaf, the rest to the
         non-leaf child.  A NO carries the reason of the first cocomponent
-        pair that failed.
+        pair that failed.  decide sends joins with equally many
+        cocomponents on both sides to _decide_equal, which makes this
+        search's decide calls without its count vectors; here the pattern
+        has more cocomponents than the host, or fewer.
         """
         gk, hk = self.kids[a], self.kids[b]
         p = len(gk)

@@ -660,6 +660,13 @@ class ReferenceCotreePairs(cograph_module._CotreePairs):
         return tuple((i, (j,)) for i, j in matching.pairs)
 
 
+class MultisetCotreePairs(cograph_module._CotreePairs):
+    """_CotreePairs that sends every join with equally many host and
+    pattern cocomponents through the general multiset search."""
+
+    _decide_equal = cograph_module._CotreePairs._decide_join
+
+
 def reference_cotree_pair_retract(g: Graph, h: Graph, tg: Cotree, th: Cotree):
     """cotree_pair_retract run on ReferenceCotreePairs."""
     solver = cograph_module._CotreePairs

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cogret
 from cogret import retract_cograph
 from cogret.cli import main
 from cogret.cotree import (
@@ -455,3 +459,31 @@ class TestOtherCommands:
             main, ["oracle", "retract", files["butterfly.ct"], files["k3.ct"]]
         )
         assert result.exit_code == 0
+
+
+class TestImports:
+    def test_retract_child_imports_only_what_it_runs(self, files):
+        env = dict(os.environ, PYTHONPATH=str(Path(cogret.__file__).parent.parent))
+        child = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "cogret.cli", "retract",
+             files["butterfly.ct"], files["k3.ct"]],
+            capture_output=True, text=True, env=env,
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout)["verdict"] == "YES"
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in child.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "cogret.retract_cograph" in imported
+        unused = {"cogret.oracle", "cogret.reduction", "cogret.folding", "cogret.absolute"}
+        assert not imported & unused
+
+    def test_star_import_binds_every_public_name(self):
+        namespace: dict = {}
+        exec("from cogret import *", namespace)
+        assert all(name in namespace for name in cogret.__all__)
+        assert set(cogret.__all__) <= set(dir(cogret))
+        # every lazily resolved name is public, and no public name is missing
+        assert sorted(cogret._SOURCE_OF) == sorted(cogret.__all__)

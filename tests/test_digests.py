@@ -7,11 +7,14 @@ from __future__ import annotations
 import hashlib
 import random
 
+from cogret import retract_cograph
+from cogret.cotree import build_cotree
 from cogret.graph_core import induced_subgraph, random_cograph, relabel
 from cogret.retract_cograph import PartitionedInstance, partitioned_retract, retract
 from cogret.retract_threshold import UNIVERSAL, threshold_elimination, threshold_retract
 
 from tests.helpers import (
+    MultisetCotreePairs,
     all_cographs,
     all_threshold_graphs,
     random_omega_preserving_extension,
@@ -125,6 +128,46 @@ def test_cotree_pair_answers_are_pinned():
     answers = list(cotree_pair_answers())
     assert len(answers) == 2 * 107 * 41 + 400
     assert digest(answers) == COTREE_PAIR_DIGEST
+
+
+def test_multiset_search_gives_the_pinned_cotree_pair_answers(monkeypatch):
+    # the equal-count path must make the multiset search's decisions
+    joins = [0]
+    multiset = MultisetCotreePairs._decide_equal
+
+    def counted(self, a, b):
+        joins[0] += 1
+        return multiset(self, a, b)
+
+    monkeypatch.setattr(MultisetCotreePairs, "_decide_equal", counted)
+    monkeypatch.setattr(retract_cograph, "_CotreePairs", MultisetCotreePairs)
+    assert digest(cotree_pair_answers()) == COTREE_PAIR_DIGEST
+    assert joins[0] > 1000
+
+
+def _logged(solver_class):
+    class Logged(solver_class):
+        """Records every decide call, memo hits included."""
+
+        def decide(self, a, b):
+            self.calls.append((a, b))
+            return super().decide(a, b)
+
+    return Logged
+
+
+def test_equal_count_joins_make_the_multiset_search_calls():
+    # the same decide calls in the same order, so the same memo and the
+    # same labels interned for joined pattern parts
+    for g, h in seeded_cotree_pairs(400):
+        tg, th = build_cotree(g), build_cotree(h)
+        runs = []
+        for solver_class in (retract_cograph._CotreePairs, MultisetCotreePairs):
+            solver = _logged(solver_class)(tg, th)
+            solver.calls = []
+            solver.decide(solver.label(tg), solver.label(th))
+            runs.append((solver.calls, list(solver.memo.items()), solver.kids))
+        assert runs[0] == runs[1]
 
 
 PARTITIONED_DIGEST = "d5d5088c45e588413f48fce9d86596f705068fd2f41dbdf9ee8246f94f740b6c"

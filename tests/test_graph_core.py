@@ -176,6 +176,24 @@ class TestHomomorphism:
     def test_c4_two_coloring(self):
         assert is_homomorphism(C4, K2, (0, 1, 0, 1))
 
+    def test_negative_image_rejected(self):
+        # phi[1] == -1 would index the last vertex of h
+        assert not is_homomorphism(K2, K2, (0, -1))
+        assert not is_homomorphism(Graph(2), K1, (0, -1))
+
+    def test_out_of_range_image_rejected(self):
+        assert not is_homomorphism(K2, K2, (0, 2))
+        assert not is_homomorphism(K1, Graph(0), (0,))
+
+    def test_wrong_length_rejected(self):
+        assert not is_homomorphism(K2, K2, (0,))
+        assert not is_homomorphism(K2, K2, (0, 1, 0))
+        assert not is_homomorphism(K1, K1, ())
+
+    def test_empty_map(self):
+        assert is_homomorphism(Graph(0), K1, ())
+        assert is_homomorphism(Graph(0), Graph(0), ())
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_composition_of_homs_is_hom(self, seed):
@@ -207,6 +225,26 @@ class TestCertificates:
     def test_wrong_lengths_rejected(self):
         cert = RetractCertificate(rho=(0,), gamma=(0,))
         assert not verify_retract_certificate(K2, K1, cert)
+        cert = RetractCertificate(rho=(0, 0), gamma=(0, 0))
+        assert not verify_retract_certificate(Graph(2), K1, cert)
+
+    def test_non_identity_composition_rejected(self):
+        # both maps are automorphisms of K2, but rho . gamma swaps the ends
+        assert not verify_retract_certificate(K2, K2, RetractCertificate(rho=(1, 0), gamma=(0, 1)))
+        assert verify_retract_certificate(K2, K2, RetractCertificate(rho=(1, 0), gamma=(1, 0)))
+        # rho swaps the twins 2 and 3, so the copy of 2 goes back to 3
+        paw = RetractCertificate(rho=(0, 1, 3, 2), gamma=(0, 1, 2, 3))
+        assert is_homomorphism(PAW, PAW, paw.rho)
+        assert not verify_retract_certificate(PAW, PAW, paw)
+
+    def test_out_of_range_maps_rejected(self):
+        # gamma == (-1,) would pass rho . gamma == id through rho[-1]
+        cert = RetractCertificate(rho=(0, 0), gamma=(-1,))
+        assert not verify_retract_certificate(Graph(2), K1, cert)
+        cert = RetractCertificate(rho=(0, 0), gamma=(2,))
+        assert not verify_retract_certificate(Graph(2), K1, cert)
+        cert = RetractCertificate(rho=(0, 1), gamma=(0,))
+        assert not verify_retract_certificate(Graph(2), K1, cert)
 
     def test_compose_identity(self):
         ident = RetractCertificate(rho=(0, 1, 2), gamma=(0, 1, 2))

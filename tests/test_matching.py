@@ -6,7 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from cogret.matching import BipartiteInstance, Matching, max_matching, saturates_right
+from cogret.matching import (
+    BipartiteInstance,
+    Matching,
+    _hopcroft_karp,
+    max_matching,
+    saturates_right,
+)
 
 from tests.helpers import reference_max_matching
 
@@ -90,6 +96,17 @@ def test_same_pairs_as_recursive_search():
         rng.shuffle(edges)
         inst = BipartiteInstance(p=p, q=q, edges=tuple(edges))
         assert max_matching(inst).pairs == reference_max_matching(inst).pairs, trial
+
+
+def test_private_core_equals_recursive_search():
+    # the cotree-pair solver calls the core on edges in (left, right) order
+    rng = random.Random("matching-core")
+    for trial in range(400):
+        p, q = rng.randint(0, 30), rng.choice((1, 2, rng.randint(0, 30)))
+        density = rng.choice((0.05, 0.15, 0.4, 0.9))
+        edges = [(u, v) for u in range(p) for v in range(q) if rng.random() < density]
+        inst = BipartiteInstance(p=p, q=q, edges=tuple(edges))
+        assert _hopcroft_karp(p, q, edges) == reference_max_matching(inst).pairs, trial
 
 
 def _chain(k: int) -> BipartiteInstance:

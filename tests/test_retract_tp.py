@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
+from cogret.cotree import JOIN, UNION, Internal, Leaf, build_cotree, cotree_to_graph
 from cogret.graph_core import (
+    Graph,
     NoRetract,
     RetractCertificate,
+    induced_subgraph,
     verify_retract_certificate,
 )
+from cogret.retract_cograph import retract
 from cogret.oracle import brute_retract
 from cogret.retract_threshold import threshold_retract
 from cogret.retract_tp import (
@@ -111,3 +116,32 @@ class TestTpRetract:
                 result = tp_retract(g, h)
                 if isinstance(result, NoRetract):
                     assert result.reason in codes, (list(g.edges()), list(h.edges()))
+
+
+def _universal_isolated_chain(base: Graph, k: int) -> Graph:
+    """base plus k vertices added alternately universal and isolated."""
+    node = build_cotree(base)
+    for i in range(k):
+        node = Internal(UNION if i % 2 else JOIN, (Leaf(base.n + i), node))
+    return cotree_to_graph(node)
+
+
+def test_deep_chain_pairs_answer_at_the_default_recursion_limit():
+    # the solver recurses twice per cotree level; 450 levels must leave
+    # room under the default limit of 1000 frames
+    g = _universal_isolated_chain(TWO_K2, 450)
+    patterns = [
+        g,
+        induced_subgraph(g, range(g.n - 1))[0],
+        _universal_isolated_chain(Graph(3, [(0, 1)]), 450),
+    ]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        answers = [retract(g, h) for h in patterns]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [route for _, route in answers] == ["tp"] * 3
+    assert isinstance(answers[0][0], RetractCertificate)
+    assert isinstance(answers[1][0], RetractCertificate)
+    assert answers[2][0] == NoRetract("matching-deficit")
