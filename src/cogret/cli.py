@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
@@ -41,6 +42,9 @@ from .graph_core import (
     parse_graph6,
     verify_retract_certificate,
 )
+
+if TYPE_CHECKING:
+    from .oracle import SearchBudget
 
 
 class CommandError(click.ClickException):
@@ -78,8 +82,7 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _budget_from_env():
-    """The oracle's SearchBudget from RETRACT_ORACLE_BUDGET, or None."""
+def _budget_from_env() -> SearchBudget | None:
     raw = os.environ.get("RETRACT_ORACLE_BUDGET")
     if not raw:
         return None
@@ -354,8 +357,7 @@ def cmd_oracle() -> None:
     """Budgeted exact searches (ground truth for small inputs)."""
 
 
-def _oracle_budget():
-    """The oracle commands' SearchBudget: the environment's, or 12 vertices."""
+def _oracle_budget() -> SearchBudget:
     from . import oracle as oracle_mod
 
     return _budget_from_env() or oracle_mod.SearchBudget(max_vertices=12)

@@ -313,29 +313,18 @@ class _CotreePairs:
         number, so a pair whose pattern has another clique number, more
         vertices or a larger independence number than its host is no edge
         of the matching and is not decided.  Only a pair's YES or NO counts
-        here, so no reported reason changes.  A connected
-        pattern is one component, and the matching would take the first
-        host component it has an edge to: host components are decided in
-        order up to the first YES."""
+        here, so no reported reason changes.  A connected pattern is one
+        component, and the matching would take the first host component it
+        has an edge to, so host components are decided in order up to the
+        first YES."""
         gcomps = self.kids[a]
-        omega, size, alpha = self.omega, self.size, self.alpha
-        if self.kind[b] != UNION:
-            for i in range(len(gcomps)):  # a loop, not a generator: one stack frame per level
-                x = gcomps[i]
-                if (
-                    omega[b] == omega[x]
-                    and size[b] <= size[x]
-                    and alpha[b] <= alpha[x]
-                    and not isinstance(self.decide(x, b), str)
-                ):
-                    return ((i, (0,)),)
-            return "matching-deficit"
-        hcomps = self.kids[b]
+        hcomps = self.kids[b] if self.kind[b] == UNION else (b,)
         p, q = len(gcomps), len(hcomps)
         if q > p:
             return "matching-deficit"
+        omega, size, alpha = self.omega, self.size, self.alpha
         edges = []  # in (i, j) order
-        for i in range(p):
+        for i in range(p):  # a loop, not a generator: one stack frame per level
             x = gcomps[i]
             for j in range(q):
                 y = hcomps[j]
@@ -345,6 +334,8 @@ class _CotreePairs:
                     and alpha[y] <= alpha[x]
                     and not isinstance(self.decide(x, y), str)
                 ):
+                    if q == 1:  # the matching takes the first edge
+                        return ((i, (0,)),)
                     edges.append((i, j))
         pairs = _hopcroft_karp(p, q, edges)
         if len(pairs) < q:
@@ -507,6 +498,11 @@ class _CotreePairs:
 
     def certify(self, gn: Cotree, hn: Cotree, b: int, rho: dict, gamma: dict) -> None:
         """Add the maps of a YES pair to rho and gamma; hn has label b."""
+        if isinstance(gn, Leaf):  # a single vertex retracts onto itself only
+            assert isinstance(hn, Leaf)
+            rho[gn.vertex] = hn.vertex
+            gamma[hn.vertex] = gn.vertex
+            return
         a = self.label(gn)
         if self.omega[b] == self.size[b]:
             _clique_maps(gn, hn, rho, gamma)
