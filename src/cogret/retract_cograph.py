@@ -29,10 +29,11 @@ only as memo keys: every sort key reads labels fixed at construction.
 Every label also carries its vertex count and independence number (sums
 over a union's children; at a join the count is the sum and the
 independence number the maximum).  A retract has its host's clique
-number and is an induced subgraph of it, since gamma is injective and rho
-carries every non-edge of the copy back, so component matching never decides a pair whose pattern has
-another clique number, more vertices or a larger independence number
-than its host: such a pair can only be a missing matching edge.
+number and is an induced subgraph of it, since gamma is injective and
+rho carries every non-edge of the copy back, so component matching never
+decides a pair whose pattern has another clique number, more vertices or
+a larger independence number than its host: such a pair can only be a
+missing matching edge.
 """
 
 from __future__ import annotations
