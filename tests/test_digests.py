@@ -8,7 +8,7 @@ import hashlib
 import random
 
 from cogret import retract_cograph
-from cogret.cotree import build_cotree
+from cogret.cotree import build_cotree, classify
 from cogret.graph_core import induced_subgraph, random_cograph, relabel
 from cogret.retract_cograph import PartitionedInstance, partitioned_retract, retract
 from cogret.retract_threshold import UNIVERSAL, threshold_elimination, threshold_retract
@@ -17,6 +17,7 @@ from tests.helpers import (
     MultisetCotreePairs,
     all_cographs,
     all_threshold_graphs,
+    random_graph,
     random_omega_preserving_extension,
     random_threshold_graph,
     random_tp_graph,
@@ -112,6 +113,30 @@ def cotree_pair_answers():
         yield retract(g, h)
 
 
+def seeded_classify_graphs(count: int):
+    """Trivially perfect graphs and cographs with n from 8 to 200 and
+    shuffled ids, then half as many random graphs, nearly all with an
+    induced P4."""
+    rng = random.Random("classify-digest")
+    for i in range(count):
+        make = random_tp_graph if i % 2 else random_cograph
+        g = make(rng.randint(8, 200), rng.randrange(10**6))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield relabel(g, perm)
+    for _ in range(count // 2):
+        yield random_graph(rng.randint(4, 30), rng.randrange(10**6))
+
+
+def classify_answers():
+    """classify's name, witness kind and witness on every cograph with
+    n <= 7, then on the seeded graphs."""
+    graphs = [g for n in range(1, 8) for g in all_cographs(n)]
+    for g in graphs + list(seeded_classify_graphs(200)):
+        cls = classify(g)
+        yield cls.name, cls.witness_kind, cls.witness
+
+
 def test_partitioned_answers_are_pinned():
     answers = list(partitioned_answers())
     assert len(answers) == 5087
@@ -145,6 +170,12 @@ def test_multiset_search_gives_the_pinned_cotree_pair_answers(monkeypatch):
     assert joins[0] > 1000
 
 
+def test_classify_answers_are_pinned():
+    answers = list(classify_answers())
+    assert len(answers) == 287 + 300
+    assert digest(answers) == CLASSIFY_DIGEST
+
+
 def _logged(solver_class):
     class Logged(solver_class):
         """Records every decide call, memo hits included."""
@@ -173,3 +204,4 @@ def test_equal_count_joins_make_the_multiset_search_calls():
 PARTITIONED_DIGEST = "d5d5088c45e588413f48fce9d86596f705068fd2f41dbdf9ee8246f94f740b6c"
 THRESHOLD_DIGEST = "97dd91c0d985b7c5da8b70e4dd9bfaeaace27306e4dc8180dfe24bf61aa6e3cc"
 COTREE_PAIR_DIGEST = "3b72f09628fa9d9a9aa43130b42a2aacb36129f76dcfb5a8f885170ae3996e05"
+CLASSIFY_DIGEST = "9ec6b64e8f4a70c91c86ea06533d4ed93806db28f67bf088c32201a5f82c1496"
