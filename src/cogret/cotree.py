@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Union
+from typing import Callable, Union
 
 from .graph_core import Graph
 from .retract_threshold import UNIVERSAL, threshold_elimination
@@ -114,10 +114,19 @@ def build_cotree(g: Graph) -> Cotree:
     induced C4 or a non-cograph, goes to the split builder.  Children are
     ordered by smallest contained vertex, so both give the same tree.
     """
+    return _classed_cotree(g)[0]
+
+
+def _classed_cotree(g: Graph) -> tuple[Cotree, str]:
+    """build_cotree, with the class its builder proves: trivially perfect
+    (threshold or not) when the forest pass succeeds, cograph when only
+    the split builder does."""
     if g.n == 0:
         raise ValueError("cannot build a cotree for the empty graph")
     tree = _forest_cotree(g)
-    return tree if tree is not None else _split_cotree(g)
+    if tree is not None:
+        return tree, TRIVIALLY_PERFECT
+    return _split_cotree(g), COGRAPH
 
 
 def _forest_cotree(g: Graph) -> Cotree | None:
@@ -369,26 +378,36 @@ def omega_table(root: Cotree, within: frozenset[int] | None = None) -> dict[int,
 
 
 def optimal_coloring(root: Cotree) -> dict[int, int]:
-    """Proper coloring with chromatic_number(root) colors, as vertex -> color."""
+    """Proper coloring with chromatic_number(root) colors, as vertex ->
+    color: each vertex gets the sum, over the joins above it, of the clique
+    numbers of the join's earlier children.  One omega_table pass and one
+    walk down."""
     omega = omega_table(root)
-    coloring: dict[int, dict[int, int]] = {}
-    for node in _postorder(root):
+    return _walk_down(root, lambda node: omega[id(node)])[0]
+
+
+def _walk_down(root: Cotree, omega: Callable[[Cotree], int]) -> tuple[dict[int, int], list[int]]:
+    """optimal_coloring's colors and clique_table's maximum clique (every
+    child of a join, the first widest child of a union) of root, in one
+    walk down.  omega gives the clique number of a node below the root;
+    the root's own is never asked for."""
+    colors: dict[int, int] = {}
+    clique: list[int] = []
+    stack = [(root, 0, True)]  # node, its color offset, whether on the clique
+    while stack:
+        node, base, on = stack.pop()
         if isinstance(node, Leaf):
-            coloring[id(node)] = {node.vertex: 0}
-        elif node.kind == UNION:
-            merged: dict[int, int] = {}
+            colors[node.vertex] = base
+            if on:
+                clique.append(node.vertex)
+        elif node.kind == JOIN:
             for c in node.children:
-                merged.update(coloring[id(c)])
-            coloring[id(node)] = merged
+                stack.append((c, base, on))
+                base += omega(c)
         else:
-            merged = {}
-            offset = 0
-            for c in node.children:
-                for v, col in coloring[id(c)].items():
-                    merged[v] = col + offset
-                offset += omega[id(c)]
-            coloring[id(node)] = merged
-    return coloring[id(root)]
+            widest = max(node.children, key=omega) if on else None
+            stack.extend((c, base, c is widest) for c in node.children)
+    return colors, clique
 
 
 def max_clique_leaves(root: Cotree) -> tuple[int, ...]:
@@ -437,30 +456,6 @@ class GraphClass:
     witness: tuple[int, ...] | None = None
 
 
-def _is_complete_subtree(node: Cotree) -> bool:
-    return isinstance(node, Leaf) or (
-        node.kind == JOIN and all(isinstance(c, Leaf) for c in node.children)
-    )
-
-
-def _first_edge_in(node: Cotree) -> tuple[int, int]:
-    for nd in _postorder(node):
-        if isinstance(nd, Internal) and nd.kind == JOIN:
-            a = cotree_leaves(nd.children[0])[0]
-            b = cotree_leaves(nd.children[1])[0]
-            return (a, b)
-    raise ValueError("subtree has no edge")
-
-
-def _first_nonedge_in(node: Cotree) -> tuple[int, int]:
-    for nd in _postorder(node):
-        if isinstance(nd, Internal) and nd.kind == UNION:
-            a = cotree_leaves(nd.children[0])[0]
-            b = cotree_leaves(nd.children[1])[0]
-            return (a, b)
-    raise ValueError("subtree has no non-edge")
-
-
 _NO_CLASS = "the empty graph has no cotree and no class"
 
 
@@ -469,47 +464,54 @@ def classify(g: Graph) -> GraphClass:
 
     Threshold means repeated removal of a universal-or-isolated vertex
     empties the graph; trivially perfect means cograph without an induced
-    C4.  Witnesses carry the forbidden subgraph blocking the next-smaller
-    class.  Raises ValueError on the empty graph.
+    C4.  The class is the one _PreparedGraph's recognizers prove.
+    Witnesses carry the forbidden subgraph blocking the next-smaller class:
+    the split builder's P4, or a C4 or 2K2 that _witness reads off the
+    cotree.  Raises ValueError on the empty graph.
     """
     if g.n == 0:
         raise ValueError(_NO_CLASS)
-    return _PreparedGraph(g).cls
+    pg = _PreparedGraph(g)
+    if pg.name == THRESHOLD:
+        return GraphClass(THRESHOLD)
+    if pg.name == NOT_COGRAPH:
+        return GraphClass(NOT_COGRAPH, "P4", pg.p4)
+    return GraphClass(pg.name, *_witness(pg.cotree, pg.name))
 
 
 class _PreparedGraph:
     """One graph's class, threshold elimination order and cotree.
 
-    Classification tries the O(n log n) isolated/universal elimination
-    first (Chvatal and Hammer, 1977): a threshold graph gets its class and
-    its clique number without a cotree.  Any other graph is classified from
-    its cotree, which is kept.  The cotree is built on first use and at
-    most once, so the dispatcher, the solvers and the CLI report share it.
-    The empty graph has the empty elimination order, so it is prepared as
-    threshold with clique number 0; classify and the cotree routes refuse
-    it.
+    The class is the one the accepting recognizer proves, so nothing walks
+    the cotree for it: the O(n log n) isolated/universal elimination
+    (Chvatal and Hammer, 1977) proves threshold, the forest pass trivially
+    perfect and the split builder cograph, and the split builder's induced
+    P4 (kept as p4) proves not_cograph.  A threshold graph gets its clique
+    number without a cotree.  The cotree is built at most once, so the
+    dispatcher, the solvers and the CLI report share it.  The empty graph
+    has the empty elimination order, so it is prepared as threshold with
+    clique number 0; classify and the cotree routes refuse it.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.order = threshold_elimination(g)
         self._tree: Cotree | None = None
+        self.p4: tuple[int, int, int, int] | None = None
         if self.order is not None:
-            self.cls = GraphClass(THRESHOLD)
+            self.name = THRESHOLD
             return
         try:
-            self._tree = build_cotree(g)
+            self._tree, self.name = _classed_cotree(g)
         except NotCographError as exc:
-            self.cls = GraphClass(NOT_COGRAPH, witness_kind="P4", witness=exc.witness)
-        else:
-            self.cls = _cotree_class(self._tree)
+            self.name, self.p4 = NOT_COGRAPH, exc.witness
 
     @property
     def cotree(self) -> Cotree:
         """The cotree, built on first use; NotCographError if there is none."""
         if self._tree is None:
-            if self.cls.name == NOT_COGRAPH:
-                raise NotCographError(self.cls.witness)  # type: ignore[arg-type]
+            if self.p4 is not None:
+                raise NotCographError(self.p4)
             self._tree = build_cotree(self.g)
         return self._tree
 
@@ -523,42 +525,33 @@ class _PreparedGraph:
         return clique_number(self.cotree)
 
 
-def _cotree_class(root: Cotree) -> GraphClass:
-    """Class of a cograph that is not threshold, read off its cotree.
+def _witness(root: Cotree, name: str) -> tuple[str, tuple[int, int, int, int]]:
+    """The induced C4 of a cograph (name COGRAPH) or 2K2 of a trivially
+    perfect graph that is not threshold, as (witness kind, witness).
 
-    Kinds alternate, so a union's internal children are joins (each holds
-    an edge) and a join's internal children are unions (each holds a
-    non-edge).
+    Kinds alternate, so a node's children that hold a non-edge (under a
+    join) or an edge (under a union) are exactly its internal ones.  The
+    first join, for a C4, or union, for a 2K2, in postorder with two
+    internal children gives one from each: the first leaves of the first
+    two children of the first node of the other kind in that child's
+    postorder.  A C4 is listed in cycle order, a 2K2 edge by edge.
     """
-    two_k2 = None
+    kind = JOIN if name == COGRAPH else UNION
     for node in _postorder(root):
-        if not isinstance(node, Internal):
+        if isinstance(node, Leaf) or node.kind != kind:
             continue
-        if node.kind == JOIN:
-            incomplete = [c for c in node.children if not _is_complete_subtree(c)]
-            if len(incomplete) >= 2:
-                a, b = _first_nonedge_in(incomplete[0])
-                c, d = _first_nonedge_in(incomplete[1])
-                # cycle order: a-c, c-b, b-d, d-a
-                return GraphClass(COGRAPH, witness_kind="C4", witness=(a, c, b, d))
-        elif two_k2 is None:
-            edgy = [c for c in node.children if isinstance(c, Internal)]
-            if len(edgy) >= 2:
-                two_k2 = _first_edge_in(edgy[0]) + _first_edge_in(edgy[1])
-    assert two_k2 is not None, "threshold elimination and cotree disagree"
-    return GraphClass(TRIVIALLY_PERFECT, witness_kind="2K2", witness=two_k2)
-
-
-def is_trivially_perfect_cotree(root: Cotree) -> bool:
-    """No join node may have two children that each contain a non-edge."""
-    for node in _postorder(root):
-        if isinstance(node, Internal) and node.kind == JOIN:
-            incomplete = sum(
-                1 for c in node.children if not _is_complete_subtree(c)
+        inner = [c for c in node.children if isinstance(c, Internal)]
+        if len(inner) < 2:
+            continue
+        ends = []
+        for child in inner[:2]:
+            first = next(
+                x for x in _postorder(child) if isinstance(x, Internal) and x.kind != kind
             )
-            if incomplete >= 2:
-                return False
-    return True
+            ends += (cotree_leaves(x)[0] for x in first.children[:2])
+        a, b, c, d = ends
+        return ("C4", (a, c, b, d)) if kind == JOIN else ("2K2", (a, b, c, d))
+    raise AssertionError(f"no witness in the cotree of a {name}")
 
 
 # ---------------------------------------------------------------------------

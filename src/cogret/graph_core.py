@@ -302,10 +302,6 @@ def components(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the given set, reindexed to 0..k-1.
 

@@ -55,6 +55,7 @@ from .cotree import (
     _NO_CLASS,
     _PreparedGraph,
     _postorder,
+    _walk_down,
     build_cotree,
     clique_table,
     cotree_leaves,
@@ -86,9 +87,10 @@ def hom_exists(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
     if g.n == 0:
         return True, ()
     coloring = optimal_coloring(build_cotree(g))
+    if h.n == 0:
+        return False, None  # chi(g) >= 1 > 0 = omega(h)
     clique = sorted(max_clique_leaves(build_cotree(h)))
-    chi_g = max(coloring.values()) + 1
-    if chi_g > len(clique):
+    if max(coloring.values()) + 1 > len(clique):  # chi(g) > omega(h)
         return False, None
     return True, tuple(clique[coloring[v]] for v in range(g.n))
 
@@ -252,6 +254,9 @@ class _CotreePairs:
 
     def label(self, node: Cotree) -> int:
         return self.labels[id(node)]
+
+    def node_omega(self, node: Cotree) -> int:
+        return self.omega[self.labels[id(node)]]
 
     def intern(self, kind: str, kids: tuple[int, ...]) -> int:
         """Label of a node of this kind over children with these sorted labels."""
@@ -506,7 +511,7 @@ class _CotreePairs:
             return
         a = self.label(gn)
         if self.omega[b] == self.size[b]:
-            _clique_maps(gn, hn, rho, gamma)
+            self._clique_maps(gn, hn, rho, gamma)
             return
         if a == b:
             self._iso_maps(gn, hn, rho, gamma)
@@ -529,11 +534,23 @@ class _CotreePairs:
             self.certify(gkids[i], sub, self.joined([hlabels[j] for j in js]), rho, gamma)
         if len(plan) < len(gkids):  # host components left over at a union
             widest = max(range(len(hkids)), key=lambda j: self.omega[hlabels[j]])
-            clique = sorted(max_clique_leaves(hkids[widest]))
+            clique = sorted(_walk_down(hkids[widest], self.node_omega)[1])
             matched = {i for i, _ in plan}
             for i, comp in enumerate(gkids):
                 if i not in matched:
-                    rho.update(_coloring_into(comp, clique))
+                    colors = _walk_down(comp, self.node_omega)[0]
+                    rho.update((v, clique[c]) for v, c in colors.items())
+
+    def _clique_maps(self, gn: Cotree, hn: Cotree, rho: dict, gamma: dict) -> None:
+        """Maps onto a clique pattern with the host's clique number: the
+        color class of a maximum clique's i-th vertex goes to the pattern's."""
+        colors, clique = _walk_down(gn, self.node_omega)
+        clique.sort()
+        h_sorted = sorted(cotree_leaves(hn))
+        assert len(clique) == len(h_sorted)
+        to_h = {colors[v]: y for v, y in zip(clique, h_sorted)}
+        rho.update({v: to_h[c] for v, c in colors.items()})
+        gamma.update(zip(h_sorted, clique))
 
     def _iso_maps(self, gn: Cotree, hn: Cotree, rho: dict, gamma: dict) -> None:
         """Isomorphism between equally labelled subtrees, and its inverse."""
@@ -558,17 +575,6 @@ def _coloring_into(gn: Cotree, clique: list[int]) -> dict[int, int]:
     """Edge-preserving map of gn's graph onto a clique of at least its
     chromatic number: an optimal coloring, color i to clique[i]."""
     return {v: clique[c] for v, c in optimal_coloring(gn).items()}
-
-
-def _clique_maps(gn: Cotree, hn: Cotree, rho: dict, gamma: dict) -> None:
-    """Maps onto a clique pattern with the host's clique number."""
-    coloring = optimal_coloring(gn)
-    clique = sorted(max_clique_leaves(gn))
-    h_sorted = sorted(cotree_leaves(hn))
-    assert len(clique) == len(h_sorted)
-    to_h = {coloring[clique[i]]: h_sorted[i] for i in range(len(clique))}
-    rho.update({v: to_h[c] for v, c in coloring.items()})
-    gamma.update(zip(h_sorted, clique))
 
 
 def cotree_pair_retract(
@@ -644,22 +650,19 @@ def _routed_retract(
     elimination orders and the others run on the two cotrees.
     """
     for p, what in ((pg, "host"), (ph, "pattern")):
-        cls = p.cls
         if route == "threshold":
-            if cls.name != THRESHOLD:
+            if p.name != THRESHOLD:
                 raise NotThresholdError(f"{what} graph is not a threshold graph")
         elif p.g.n == 0:
             raise ValueError(_NO_CLASS)
-        elif route == "tp" and cls.name == NOT_COGRAPH:
-            raise NotTriviallyPerfectError(
-                f"{what} graph contains an induced P4 on {cls.witness}"
-            )
-        elif route == "tp" and cls.name == COGRAPH:
+        elif route == "tp" and p.name == NOT_COGRAPH:
+            raise NotTriviallyPerfectError(f"{what} graph contains an induced P4 on {p.p4}")
+        elif route == "tp" and p.name == COGRAPH:
             raise NotTriviallyPerfectError(f"{what} graph contains an induced C4")
-        elif cls.name == NOT_COGRAPH:
-            raise NotCographError(cls.witness)  # type: ignore[arg-type]
+        elif p.name == NOT_COGRAPH:
+            raise NotCographError(p.p4)  # type: ignore[arg-type]
     if route == "auto":
-        names = {pg.cls.name, ph.cls.name}
+        names = {pg.name, ph.name}
         route = "threshold" if names == {THRESHOLD} else "fpt" if COGRAPH in names else "tp"
     if route == "threshold":
         return _solve_threshold(pg.g, ph.g, pg.order, ph.order), route

@@ -22,7 +22,7 @@ from cogret.cotree import (
     build_cotree,
     cotree_leaves,
     cotree_to_graph,
-    is_trivially_perfect_cotree,
+    omega_table,
 )
 from cogret.graph_core import (
     Graph,
@@ -118,13 +118,14 @@ def all_cographs(n: int) -> list[Graph]:
     return [cotree_to_graph(t) for t in all_cotrees(n)]
 
 
-def _every_internal_has_one_internal_child(root: Cotree) -> bool:
+def _one_internal_child_below(root: Cotree, kinds: tuple[str, ...]) -> bool:
+    """No node of these kinds has two internal children."""
     stack = [root]
     while stack:
         node = stack.pop()
         if isinstance(node, Internal):
             internal = [c for c in node.children if isinstance(c, Internal)]
-            if len(internal) > 1:
+            if node.kind in kinds and len(internal) > 1:
                 return False
             stack.extend(node.children)
     return True
@@ -134,14 +135,14 @@ def all_threshold_graphs(n: int) -> list[Graph]:
     return [
         cotree_to_graph(t)
         for t in all_cotrees(n)
-        if _every_internal_has_one_internal_child(t)
+        if _one_internal_child_below(t, (UNION, JOIN))
     ]
 
 
 def all_tp_graphs(n: int) -> list[Graph]:
-    return [
-        cotree_to_graph(t) for t in all_cotrees(n) if is_trivially_perfect_cotree(t)
-    ]
+    """Kinds alternate, so a join's children with a non-edge are its
+    internal ones, and two of them make a C4."""
+    return [cotree_to_graph(t) for t in all_cotrees(n) if _one_internal_child_below(t, (JOIN,))]
 
 
 def all_connected_cographs(n: int) -> list[Graph]:
@@ -178,10 +179,11 @@ def cotree_shape(root: Cotree) -> list[tuple]:
 
 
 def count_cotree_builds(monkeypatch) -> Counter:
-    """Send every cogret module's build_cotree through a counter; the
-    returned Counter maps id(graph) to the builds of that graph so far, so
-    the caller keeps the graphs it counts alive."""
-    return _count_calls(monkeypatch, "build_cotree", cotree_module.build_cotree)
+    """Send the builder behind build_cotree and _PreparedGraph, and so
+    every cotree build, through a counter; the returned Counter maps
+    id(graph) to the builds of that graph so far, so the caller keeps the
+    graphs it counts alive."""
+    return _count_calls(monkeypatch, "_classed_cotree", cotree_module._classed_cotree)
 
 
 def count_eliminations(monkeypatch) -> Counter:
@@ -567,7 +569,33 @@ def reference_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ..
 
 # ---------------------------------------------------------------------------
 # reference solver steps: earlier implementations of threshold elimination,
-# Hopcroft-Karp and component matching, kept as oracles for differential tests
+# Hopcroft-Karp, component matching and the cotree coloring, kept as oracles
+# for differential tests
+
+
+def reference_optimal_coloring(root: Cotree) -> dict[int, int]:
+    """optimal_coloring bottom-up: each node merges its children's
+    colorings, a join shifting each child's by the clique numbers of the
+    children before it."""
+    omega = omega_table(root)
+    coloring: dict[int, dict[int, int]] = {}
+    for node in _postorder(root):
+        if isinstance(node, Leaf):
+            coloring[id(node)] = {node.vertex: 0}
+        elif node.kind == UNION:
+            merged: dict[int, int] = {}
+            for c in node.children:
+                merged.update(coloring[id(c)])
+            coloring[id(node)] = merged
+        else:
+            merged = {}
+            offset = 0
+            for c in node.children:
+                for v, col in coloring[id(c)].items():
+                    merged[v] = col + offset
+                offset += omega[id(c)]
+            coloring[id(node)] = merged
+    return coloring[id(root)]
 
 
 def reference_threshold_elimination(g: Graph) -> EliminationOrder | None:

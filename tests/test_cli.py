@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import cogret
+from cogret import cotree as cotree_module
 from cogret import retract_cograph
 from cogret.cli import main
 from cogret.cotree import (
@@ -19,6 +20,7 @@ from cogret.cotree import (
     Leaf,
     _PreparedGraph,
     build_cotree,
+    classify,
     clique_number,
     format_cotree,
 )
@@ -103,6 +105,40 @@ class TestRetractCommand:
         code, report = run_json(runner, ["retract", files["butterfly.ct"], files["paw.el"]])
         assert code == 1
         assert report["verdict"] == "NO"
+
+    def test_routes_look_for_no_witness(self, runner, files, monkeypatch):
+        # the recognizers give every class; only classify looks for a C4 or 2K2
+        from cogret.retract_tp import NotTriviallyPerfectError, tp_retract
+
+        def refuse(root, name):
+            raise AssertionError("a retract route looked for a witness")
+
+        monkeypatch.setattr(cotree_module, "_witness", refuse)
+        for g, h, yes in ((BUTTERFLY, K3, True), (BUTTERFLY, PAW, False), (TWO_K2, K2, True)):
+            result, route = retract_cograph.retract(g, h)
+            assert route == "tp" and isinstance(result, cogret.RetractCertificate) == yes
+            assert isinstance(tp_retract(g, h), cogret.RetractCertificate) == yes
+            assert isinstance(retract_cograph.fpt_retract(g, h), cogret.RetractCertificate) == yes
+        for g, h, yes in ((C4, K2, True), (C4, TWO_K2, False), (K2, C4, False)):
+            result, route = retract_cograph.retract(g, h)
+            assert route == "fpt" and isinstance(result, cogret.RetractCertificate) == yes
+            assert isinstance(retract_cograph.fpt_retract(g, h), cogret.RetractCertificate) == yes
+            with pytest.raises(NotTriviallyPerfectError, match="induced C4"):
+                tp_retract(g, h)
+        for g, h, route, verdict in (
+            ("butterfly.ct", "k3.ct", "tp", "YES"),
+            ("butterfly.ct", "paw.el", "tp", "NO"),
+            ("c4.el", "k2.el", "fpt", "YES"),
+        ):
+            _, report = run_json(runner, ["retract", files[g], files[h]])
+            assert report["route"] == route and report["verdict"] == verdict
+        result = runner.invoke(main, ["retract", files["c4.el"], files["k2.el"], "--solver", "tp"])
+        assert result.exit_code == 2 and "induced C4" in result.output
+        with pytest.raises(AssertionError, match="witness"):
+            classify(C4)
+        monkeypatch.undo()
+        assert classify(C4).witness == (0, 1, 2, 3)
+        assert classify(BUTTERFLY).witness == (1, 2, 3, 4)
 
     def test_not_cograph_is_error(self, runner, files):
         result = runner.invoke(main, ["retract", files["p4.el"], files["k2.g6"]])
@@ -365,14 +401,16 @@ class TestCotreeBuilds:
     def test_omegas_match_cotree_on_exhaustive_pairs(self, monkeypatch):
         graphs_g = [g for n in range(1, 6) for g in all_cographs(n)]
         graphs_h = [h for n in range(1, 5) for h in all_cographs(n)]
+        # reference values before the counting starts
+        omega = {id(g): clique_number(build_cotree(g)) for g in graphs_g + graphs_h}
         builds = count_cotree_builds(monkeypatch)
         for g in graphs_g:
             for h in graphs_h:
                 pg, ph = _PreparedGraph(g), _PreparedGraph(h)
                 _, route = retract_cograph._routed_retract(pg, ph, "auto")
                 before = sum(builds.values())
-                assert pg.omega == clique_number(build_cotree(g))
-                assert ph.omega == clique_number(build_cotree(h))
+                assert pg.omega == omega[id(g)]
+                assert ph.omega == omega[id(h)]
                 assert sum(builds.values()) == before  # the report adds no builds
                 assert before == 0 if route == "threshold" else max(builds.values()) == 1
                 builds.clear()

@@ -56,6 +56,7 @@ from tests.helpers import (
     random_graph,
     random_threshold_graph,
     random_tp_graph,
+    reference_optimal_coloring,
     sparse_random_threshold_graph,
 )
 
@@ -350,6 +351,13 @@ class TestCliqueChromatic:
                 assert coloring[u] != coloring[v]
             assert max(coloring.values()) + 1 == chromatic_number(t)
 
+    def test_optimal_coloring_matches_the_bottom_up_coloring(self):
+        trees = [t for n in range(1, 8) for t in all_cotrees(n)]
+        trees += [random_cotree(seed % 60 + 1, seed) for seed in range(200)]
+        trees.append(cotree_chain(2000))
+        for t in trees:
+            assert optimal_coloring(t) == reference_optimal_coloring(t)
+
     def test_max_clique_leaves_is_a_max_clique(self):
         for seed in range(80):
             g = random_cograph(seed % 10 + 1, seed)
@@ -426,7 +434,7 @@ class TestPreparedGraph:
         for seed in range(20):
             g = random_threshold_graph(seed * 10 + 1, seed)
             prepared = _PreparedGraph(g)
-            assert prepared.cls.name == THRESHOLD
+            assert prepared.name == THRESHOLD
             prepared.omega
         assert sum(builds.values()) == 0
 
@@ -447,7 +455,7 @@ class TestPreparedGraph:
         prepared = _PreparedGraph(P4)
         with pytest.raises(NotCographError) as err:
             prepared.cotree
-        assert err.value.witness == prepared.cls.witness
+        assert err.value.witness == prepared.p4 == classify(P4).witness
 
 
 class TestCanonicalKey:

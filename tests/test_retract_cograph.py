@@ -87,8 +87,8 @@ class TestHomExists:
             hom_exists(P4, K2)
 
     def test_exhaustive_agreement_with_search(self):
-        graphs_g = [g for n in range(1, 6) for g in all_cographs(n)]
-        graphs_h = [h for n in range(1, 5) for h in all_cographs(n)]
+        graphs_g = [Graph(0)] + [g for n in range(1, 6) for g in all_cographs(n)]
+        graphs_h = [Graph(0)] + [h for n in range(1, 5) for h in all_cographs(n)]
         for g in graphs_g:
             for h in graphs_h:
                 ok, phi = hom_exists(g, h)
