@@ -7,9 +7,21 @@ from __future__ import annotations
 import hashlib
 import random
 
+from itertools import combinations
+
 from cogret import retract_cograph
-from cogret.cotree import build_cotree, classify
-from cogret.graph_core import induced_subgraph, random_cograph, relabel
+from cogret.cotree import (
+    JOIN,
+    UNION,
+    Internal,
+    Leaf,
+    NotCographError,
+    build_cotree,
+    classify,
+    cotree_to_graph,
+    format_cotree,
+)
+from cogret.graph_core import Graph, induced_subgraph, random_cograph, relabel
 from cogret.retract_cograph import PartitionedInstance, partitioned_retract, retract
 from cogret.retract_threshold import UNIVERSAL, threshold_elimination, threshold_retract
 
@@ -17,6 +29,7 @@ from tests.helpers import (
     MultisetCotreePairs,
     all_cographs,
     all_threshold_graphs,
+    random_forest_graph,
     random_graph,
     random_omega_preserving_extension,
     random_threshold_graph,
@@ -137,6 +150,36 @@ def classify_answers():
         yield cls.name, cls.witness_kind, cls.witness
 
 
+def builder_graphs():
+    """Every graph with 1 to 5 vertices; random cographs with n up to 120;
+    trivially perfect forests with n 100 to 1000, as the benchmark's
+    trivially perfect pairs have; and 2K2 with 1000 vertices added
+    alternately universal and isolated."""
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+    for n in range(1, 121):
+        for seed in range(3):
+            yield random_cograph(n, seed)
+    rng = random.Random("builder-digest")
+    for i in range(40):
+        yield random_forest_graph(rng.randint(100, 1000), i, depth=rng.choice((10, 40)))
+    node = Internal(UNION, (Internal(JOIN, (Leaf(0), Leaf(1))), Internal(JOIN, (Leaf(2), Leaf(3)))))
+    for i in range(1000):
+        node = Internal(UNION if i % 2 else JOIN, (Leaf(4 + i), node))
+    yield cotree_to_graph(node)
+
+
+def builder_answers():
+    """build_cotree's tree as text, or the P4 witness it raises."""
+    for g in builder_graphs():
+        try:
+            yield format_cotree(build_cotree(g))
+        except NotCographError as exc:
+            yield "P4", exc.witness
+
+
 def test_partitioned_answers_are_pinned():
     answers = list(partitioned_answers())
     assert len(answers) == 5087
@@ -176,6 +219,13 @@ def test_classify_answers_are_pinned():
     assert digest(answers) == CLASSIFY_DIGEST
 
 
+def test_builder_answers_are_pinned():
+    answers = list(builder_answers())
+    assert len(answers) == 1 + 2 + 8 + 64 + 1024 + 360 + 40 + 1
+    assert sum(isinstance(a, tuple) for a in answers) > 500
+    assert digest(answers) == BUILDER_DIGEST
+
+
 def _logged(solver_class):
     class Logged(solver_class):
         """Records every decide call, memo hits included."""
@@ -205,3 +255,4 @@ PARTITIONED_DIGEST = "d5d5088c45e588413f48fce9d86596f705068fd2f41dbdf9ee8246f94f
 THRESHOLD_DIGEST = "97dd91c0d985b7c5da8b70e4dd9bfaeaace27306e4dc8180dfe24bf61aa6e3cc"
 COTREE_PAIR_DIGEST = "3b72f09628fa9d9a9aa43130b42a2aacb36129f76dcfb5a8f885170ae3996e05"
 CLASSIFY_DIGEST = "9ec6b64e8f4a70c91c86ea06533d4ed93806db28f67bf088c32201a5f82c1496"
+BUILDER_DIGEST = "55eab34c7c0e6298c84816d9fbe611cefe1f35303343cbbc11079601bad7ccbf"
