@@ -11,18 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cotree import (
-    JOIN,
-    UNION,
-    Cotree,
-    Internal,
-    Leaf,
-    NotCographError,
-    _postorder,
-    build_cotree,
-    clique_table,
-    normalize,
-)
+from .cotree import JOIN, UNION, NotCographError, _Tree, _classed_cotree, _walk_down
 from .graph_core import Graph, NoRetract, components
 from .retract_cograph import _partitioned_on_cotree
 
@@ -46,21 +35,21 @@ class AbsoluteVerdict:
 _DISCONNECTED = "absolute-retract test requires a connected graph"
 
 
-def _require_connected_cograph(h: Graph) -> Cotree:
+def _require_connected_cograph(h: Graph) -> _Tree:
     """h's cotree; ValueError if h is empty or disconnected, else
     NotCographError if h is not a cograph.  A cograph is connected exactly
     when its cotree's root is a leaf or a join."""
     if h.n == 0:
         raise ValueError("empty graph")
     try:
-        root = build_cotree(h)
+        tree = _classed_cotree(h)[0]
     except NotCographError:
         if len(components(h)) != 1:
             raise ValueError(_DISCONNECTED) from None
         raise
-    if isinstance(root, Internal) and root.kind == UNION:
+    if tree.kind[tree.root] == UNION:
         raise ValueError(_DISCONNECTED)
-    return root
+    return tree
 
 
 def is_absolute_retract(h: Graph) -> AbsoluteVerdict:
@@ -69,34 +58,35 @@ def is_absolute_retract(h: Graph) -> AbsoluteVerdict:
     h must be a connected cograph.  A failing verdict carries a verified
     counterexample embedding built by counterexample_embedding.  v lies in
     a maximum clique iff its branch is widest at every union above it;
-    then v and the stored cliques of its join siblings above form one.
+    then v and the maximum cliques of its join siblings above form one.
     """
-    root = _require_connected_cograph(h)
-    cliques = clique_table(root)
+    tree = _require_connected_cograph(h)
+    n, kind, kids, omega = tree.n, tree.kind, tree.kids, tree.omega
     found: dict[int, tuple[int, ...]] = {}
     # a node with the join siblings' cliques above it, None if it misses
     # every maximum clique
-    stack: list[tuple[Cotree, tuple[int, ...] | None]] = [(root, ())]
+    stack: list[tuple[int, tuple[int, ...] | None]] = [(tree.root, ())]
     while stack:
-        node, above = stack.pop()
-        if isinstance(node, Leaf):
+        v, above = stack.pop()
+        if v < n:
             if above is not None:
-                found[node.vertex] = tuple(sorted(above + (node.vertex,)))
+                found[v] = tuple(sorted(above + (v,)))
             continue
-        sizes = [len(cliques[id(c)]) for c in node.children]
-        if node.kind == UNION:
-            best = max(sizes)
-            stack.extend((c, above if k == best else None) for c, k in zip(node.children, sizes))
+        if kind[v] == UNION:
+            stack.extend((c, above if omega[c] == omega[v] else None) for c in kids[v])
             continue
-        joined, start = cliques[id(node)], 0  # the children's cliques in order
-        for c, k in zip(node.children, sizes):
+        # the children's cliques in order, each omega[c] long
+        joined = () if above is None else tuple(_walk_down(tree, (v,))[1])
+        start = 0
+        for c in kids[v]:
+            k = omega[c]
             rest = None if above is None else above + joined[:start] + joined[start + k :]
             stack.append((c, rest))
             start += k
     failing = tuple(v for v in range(h.n) if v not in found)
     if not failing:
         return AbsoluteVerdict(is_absolute=True, max_cliques=dict(sorted(found.items())))
-    counter = _counterexample(h, root, cliques)
+    counter = _counterexample(h, tree)
     return AbsoluteVerdict(is_absolute=False, failing_vertices=failing, counterexample=counter)
 
 
@@ -110,48 +100,48 @@ def counterexample_embedding(h: Graph) -> Graph:
     by the partitioned solver before being returned.  Raises ValueError
     when h is an absolute retract.
     """
-    root = _require_connected_cograph(h)
-    return _counterexample(h, root, clique_table(root))
+    return _counterexample(h, _require_connected_cograph(h))
 
 
-def _counterexample(
-    h: Graph, root: Cotree, cliques: dict[int, tuple[int, ...]]
-) -> Graph:
-    """counterexample_embedding from h's cotree and its clique table."""
-    deficient: Cotree | None = None
-    stack = [root]
-    while stack and deficient is None:
-        node = stack.pop()
-        if isinstance(node, Leaf):
+def _counterexample(h: Graph, tree: _Tree) -> Graph:
+    """counterexample_embedding from h's cotree."""
+    n, kind, kids, omega = tree.n, tree.kind, tree.kids, tree.omega
+    deficient = -1
+    stack = [tree.root]
+    while stack and deficient < 0:
+        v = stack.pop()
+        if v < n:
             continue
-        if node.kind == UNION:
-            best = max(len(cliques[id(c)]) for c in node.children)
-            deficient = next(
-                (c for c in node.children if len(cliques[id(c)]) < best), None
-            )
-        stack.extend(reversed(node.children))
-    if deficient is None:
+        if kind[v] == UNION:
+            deficient = next((c for c in kids[v] if omega[c] < omega[v]), -1)
+        stack.extend(reversed(kids[v]))
+    if deficient < 0:
         raise ValueError("graph is an absolute retract; no counterexample exists")
-    twin_of, new = min(cliques[id(deficient)]), h.n
+    twin_of, new = min(_walk_down(tree, (deficient,))[1]), h.n
     twin = h.adjacency[twin_of] | {twin_of}
     adj = list(h.adjacency)
     for u in twin:
         adj[u] = adj[u] | {new}
     adj.append(twin)
     g = Graph._from_sets(h.n + 1, adj)
-    tree = _with_true_twin(root, twin_of, new)
-    answer = _partitioned_on_cotree(g, tree, frozenset(range(h.n)))
+    answer = _partitioned_on_cotree(g, _with_true_twin(tree, twin_of), frozenset(range(h.n)))
     if not isinstance(answer, NoRetract):
         raise AssertionError("counterexample construction failed certification")
     return g
 
 
-def _with_true_twin(root: Cotree, v: int, new: int) -> Cotree:
-    """root with leaf `new` added as a true twin of leaf v, normalized."""
-    rebuilt: dict[int, Cotree] = {}
-    for node in _postorder(root):
-        if isinstance(node, Leaf):
-            rebuilt[id(node)] = Internal(JOIN, (node, Leaf(new))) if node.vertex == v else node
-        else:
-            rebuilt[id(node)] = Internal(node.kind, tuple(rebuilt[id(c)] for c in node.children))
-    return normalize(rebuilt[id(root)])
+def _with_true_twin(tree: _Tree, v: int) -> _Tree:
+    """tree with leaf tree.n added as a true twin of leaf v, which is not
+    the root, normalized: right after v under a join parent, else joined
+    with v in a new node numbered just before v's parent."""
+    n, twinned = tree.n, _Tree(tree.n + 1)
+    p = next(u for u in range(n, len(tree.kind)) if v in tree.kids[u])
+    i, split = tree.kids[p].index(v), tree.kind[p] != JOIN
+    for u in range(n, len(tree.kind)):
+        got = tuple(c if c < n else c + 1 + (split and c >= p) for c in tree.kids[u])
+        if u == p and split:
+            got = got[:i] + (twinned.add(JOIN, (v, n)),) + got[i + 1 :]
+        elif u == p:
+            got = got[: i + 1] + (n,) + got[i + 1 :]
+        twinned.add(tree.kind[u], got)
+    return twinned

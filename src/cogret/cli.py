@@ -25,11 +25,11 @@ from .cotree import (
     NotCographError,
     _NO_CLASS,
     _PreparedGraph,
+    _omegas,
     classify,
     cotree_leaves,
     cotree_to_graph,
     format_cotree,
-    omega_table,
     parse_cotree,
 )
 from .graph_core import (
@@ -202,8 +202,8 @@ def _solve_pair(
                 raise CommandError(f"{partitioned_path}: {exc}")
             pg = _PreparedGraph(g)
             if inst.hset:
-                result = _partitioned_on_cotree(g, pg.cotree, inst.hset)
-                omega_h = omega_table(pg.cotree, inst.hset)[id(pg.cotree)]
+                result = _partitioned_on_cotree(g, pg.tree, inst.hset)
+                omega_h = _omegas(pg.tree, inst.hset)[-1]
             else:
                 result, omega_h = partitioned_retract(inst), 0  # the empty-pattern answers
             route = "partitioned"

@@ -4,14 +4,21 @@ A cotree is a rooted tree whose leaves are the graph's vertices and whose
 internal nodes are labeled UNION (disjoint union of the children) or JOIN
 (union plus all edges across children).  Kinds strictly alternate on every
 root-to-leaf path and internal nodes have at least two children.
+
+The builders, _PreparedGraph and the solvers hold a cotree as arrays
+(_Tree), so per-node facts such as clique numbers are lists indexed by
+node, not dicts keyed by object identity.  build_cotree turns the arrays
+into the public Leaf/Internal values (_objects); clique_number,
+optimal_coloring and max_clique_leaves read those back (_arrays).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from typing import Callable, Union
+from typing import Union
 
 from .graph_core import Graph
 from .retract_threshold import UNIVERSAL, threshold_elimination
@@ -44,6 +51,84 @@ class NotCographError(Exception):
 
 class CotreeError(ValueError):
     """Malformed cotree value or text."""
+
+
+_LEAF = "L"  # the kind of a leaf in a _Tree
+
+
+class _Tree:
+    """A cotree as arrays.  Nodes 0..n-1 are the leaves, node v being
+    vertex v; the internal nodes follow, each after its children, so the
+    root is the last node.  kind[v] is _LEAF, UNION or JOIN and kids[v]
+    the children left to right, empty at a leaf."""
+
+    def __init__(self, n: int):
+        self.n, self.kind, self.kids = n, [_LEAF] * n, [()] * n
+
+    def add(self, kind: str, kids: tuple[int, ...]) -> int:
+        """Append an internal node over these children; returns its number."""
+        self.kind.append(kind)
+        self.kids.append(kids)
+        return len(self.kind) - 1
+
+    @property
+    def root(self) -> int:
+        return len(self.kind) - 1
+
+    @cached_property
+    def omega(self) -> list[int]:
+        """Clique number of every node's subtree, unless a solver's labels
+        gave it first."""
+        return _omegas(self)
+
+
+def _omegas(tree: _Tree, within: frozenset[int] | None = None) -> list[int]:
+    """Clique number of every node's subtree, in one pass over the nodes;
+    given `within`, of the subgraph each subtree induces on those vertices."""
+    omega = [1] * tree.n if within is None else [int(v in within) for v in range(tree.n)]
+    kind, kids = tree.kind, tree.kids
+    for v in range(tree.n, len(kind)):
+        got = map(omega.__getitem__, kids[v])
+        omega.append(max(got) if kind[v] == UNION else sum(got))
+    return omega
+
+
+def _subtree(tree: _Tree, v: int) -> list[int]:
+    """The nodes of v's subtree in left-to-right postorder."""
+    kids, out, stack = tree.kids, [], [v]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(kids[v])
+    out.reverse()
+    return out
+
+
+def _objects(tree: _Tree) -> Cotree:
+    """tree as Leaf and Internal values."""
+    nodes: list[Cotree] = [Leaf(v) for v in range(tree.n)]
+    for v in range(tree.n, len(tree.kind)):
+        nodes.append(Internal(tree.kind[v], tuple(map(nodes.__getitem__, tree.kids[v]))))
+    return nodes[-1]
+
+
+def _arrays(root: Cotree | _Tree) -> _Tree:
+    """root as a _Tree, or a _Tree as it is.  Leaf ids must be distinct;
+    ids missing below the largest leave unused leaf slots."""
+    if isinstance(root, _Tree):
+        return root
+    order = _postorder(root)
+    tree = _Tree(1 + max(node.vertex for node in order if isinstance(node, Leaf)))
+    done: list[int] = []  # the finished subtrees not yet attached, left to right
+    for node in order:
+        if isinstance(node, Leaf):
+            done.append(node.vertex)
+            continue
+        at = len(done) - len(node.children)
+        kids = tuple(done[at:])
+        del done[at:]
+        done.append(tree.add(node.kind, kids))
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +199,10 @@ def build_cotree(g: Graph) -> Cotree:
     induced C4 or a non-cograph, goes to the split builder.  Children are
     ordered by smallest contained vertex, so both give the same tree.
     """
-    return _classed_cotree(g)[0]
+    return _objects(_classed_cotree(g)[0])
 
 
-def _classed_cotree(g: Graph) -> tuple[Cotree, str]:
+def _classed_cotree(g: Graph) -> tuple[_Tree, str]:
     """build_cotree, with the class its builder proves: trivially perfect
     (threshold or not) when the forest pass succeeds, cograph when only
     the split builder does."""
@@ -129,7 +214,7 @@ def _classed_cotree(g: Graph) -> tuple[Cotree, str]:
     return _split_cotree(g), COGRAPH
 
 
-def _forest_cotree(g: Graph) -> Cotree | None:
+def _forest_cotree(g: Graph) -> _Tree | None:
     """The cotree of a trivially perfect g, or None if g is not one.
 
     A trivially perfect graph is the comparability graph of a rooted
@@ -166,19 +251,19 @@ def _forest_cotree(g: Graph) -> Cotree | None:
         children[p].append(v)
 
     # bottom-up: v's subtree is the join of its chain of true twins with
-    # the union under the chain, if any; low is its smallest vertex and
-    # ulow the union's
+    # the union node under the chain, if any (else -1); low is its
+    # smallest vertex and ulow the union's
+    tree = _Tree(g.n)
     chain: list[list[int]] = [[] for _ in order]
-    under: list[Cotree | None] = [None] * g.n
+    under = [-1] * g.n
     low = [0] * g.n
     ulow = [0] * g.n
 
-    def finished(v: int) -> Cotree:
+    def finished(v: int) -> int:
         twins = sorted(chain[v])
-        leaves: list[Cotree] = [Leaf(t) for t in twins]
-        if under[v] is not None:
-            leaves.insert(bisect_left(twins, ulow[v]), under[v])
-        return leaves[0] if len(leaves) == 1 else Internal(JOIN, tuple(leaves))
+        if under[v] >= 0:
+            twins.insert(bisect_left(twins, ulow[v]), under[v])
+        return twins[0] if len(twins) == 1 else tree.add(JOIN, tuple(twins))
 
     for v in reversed(order):  # children come after their parent in order
         kids = children[v]
@@ -192,16 +277,18 @@ def _forest_cotree(g: Graph) -> Cotree | None:
         low[v] = v
         if kids:
             kids.sort(key=low.__getitem__)
-            under[v] = Internal(UNION, tuple(map(finished, kids)))
+            under[v] = tree.add(UNION, tuple(map(finished, kids)))
             ulow[v] = low[kids[0]]
             low[v] = min(ulow[v], v)
     if len(roots) == 1:
-        return finished(roots[0])
-    roots.sort(key=low.__getitem__)
-    return Internal(UNION, tuple(map(finished, roots)))
+        finished(roots[0])
+    else:
+        roots.sort(key=low.__getitem__)
+        tree.add(UNION, tuple(map(finished, roots)))
+    return tree
 
 
-def _split_cotree(g: Graph) -> Cotree:
+def _split_cotree(g: Graph) -> _Tree:
     """build_cotree by one split per cotree node, for any nonempty graph.
 
     Kinds alternate, so a union's children are split only into
@@ -211,9 +298,8 @@ def _split_cotree(g: Graph) -> Cotree:
     shrinks its table and every set operation walks it, so without the
     copy a deep cotree would cost its depth times the graph's size.
     """
-    root_vs = tuple(range(g.n))
     plan: dict[tuple[int, ...], tuple[str, list[tuple[int, ...]]]] = {}  # in preorder
-    stack: list[tuple[tuple[int, ...], str | None]] = [(root_vs, None)]  # part, parent kind
+    stack: list[tuple[tuple[int, ...], str | None]] = [(tuple(range(g.n)), None)]  # part, parent kind
     while stack:
         vs, parent = stack.pop()
         if len(vs) == 1:
@@ -228,11 +314,11 @@ def _split_cotree(g: Graph) -> Cotree:
                 break
         else:
             raise NotCographError(find_induced_p4(g, vs))  # type: ignore[arg-type]
-    built: dict[tuple[int, ...], Cotree] = {(v,): Leaf(v) for v in root_vs}
+    tree, node = _Tree(g.n), {}
     for vs in reversed(plan):  # children before their parents
         kind, parts = plan[vs]
-        built[vs] = Internal(kind, tuple(built[p] for p in parts))
-    return built[root_vs]
+        node[vs] = tree.add(kind, tuple(node[p] if len(p) > 1 else p[0] for p in parts))
+    return tree
 
 
 def find_induced_p4(
@@ -302,25 +388,23 @@ def cotree_to_graph(root: Cotree) -> Graph:
         raise CotreeError(
             f"leaf ids must be a permutation of 0..{n - 1}, got {sorted(leaves)}"
         )
+    tree = _arrays(root)
     adj: list[set[int]] = [set() for _ in range(n)]
-    leafsets: dict[int, tuple[int, ...]] = {}
-    for node in _postorder(root):
-        if isinstance(node, Leaf):
-            leafsets[id(node)] = (node.vertex,)
-            continue
-        childsets = [leafsets[id(c)] for c in node.children]
+    leafsets = [(v,) for v in range(n)]
+    for v in range(n, len(tree.kind)):
+        childsets = list(map(leafsets.__getitem__, tree.kids[v]))
         if len(childsets) < 2:
             raise CotreeError("internal cotree node with fewer than two children")
         merged = tuple(chain.from_iterable(childsets))
-        if node.kind == JOIN:
+        if tree.kind[v] == JOIN:
             everything = frozenset(merged)
             for s in childsets:
                 others = everything.difference(s)
                 for u in s:
                     adj[u] |= others
-        elif node.kind != UNION:
-            raise CotreeError(f"unknown cotree node kind {node.kind!r}")
-        leafsets[id(node)] = merged
+        elif tree.kind[v] != UNION:
+            raise CotreeError(f"unknown cotree node kind {tree.kind[v]!r}")
+        leafsets.append(merged)
     return Graph._from_sets(n, adj)
 
 
@@ -352,7 +436,7 @@ def normalize(root: Cotree) -> Cotree:
 
 def clique_number(root: Cotree) -> int:
     """Max clique size: 1 at leaves, max over union children, sum over join."""
-    return omega_table(root)[id(root)]
+    return _arrays(root).omega[-1]
 
 
 def chromatic_number(root: Cotree) -> int:
@@ -360,76 +444,51 @@ def chromatic_number(root: Cotree) -> int:
 
     Cographs are perfect, so this always equals clique_number.
     """
-    return omega_table(root)[id(root)]
-
-
-def omega_table(root: Cotree, within: frozenset[int] | None = None) -> dict[int, int]:
-    """Clique number of every subtree, keyed by node identity; given
-    `within`, of the subgraph each subtree induces on those vertices."""
-    omega: dict[int, int] = {}
-    for node in _postorder(root):
-        if isinstance(node, Leaf):
-            omega[id(node)] = 1 if within is None or node.vertex in within else 0
-        elif node.kind == UNION:
-            omega[id(node)] = max(omega[id(c)] for c in node.children)
-        else:
-            omega[id(node)] = sum(omega[id(c)] for c in node.children)
-    return omega
+    return _arrays(root).omega[-1]
 
 
 def optimal_coloring(root: Cotree) -> dict[int, int]:
     """Proper coloring with chromatic_number(root) colors, as vertex ->
     color: each vertex gets the sum, over the joins above it, of the clique
-    numbers of the join's earlier children.  One omega_table pass and one
-    walk down."""
-    omega = omega_table(root)
-    return _walk_down(root, lambda node: omega[id(node)])[0]
+    numbers of the join's earlier children."""
+    tree = _arrays(root)
+    return _walk_down(tree, (tree.root,))[0]
 
 
-def _walk_down(root: Cotree, omega: Callable[[Cotree], int]) -> tuple[dict[int, int], list[int]]:
-    """optimal_coloring's colors and clique_table's maximum clique (every
-    child of a join, the first widest child of a union) of root, in one
-    walk down.  omega gives the clique number of a node below the root;
-    the root's own is never asked for."""
+def _walk_down(tree: _Tree, tops: tuple[int, ...]) -> tuple[dict[int, int], list[int]]:
+    """optimal_coloring's colors and a maximum clique, left to right (every
+    child of a join, the first widest child of a union), of the join of the
+    subtrees at tops, in one walk down over tree.omega.  The clique's i-th
+    vertex has color i."""
+    n, kind, kids, omega = tree.n, tree.kind, tree.kids, tree.omega
     colors: dict[int, int] = {}
     clique: list[int] = []
-    stack = [(root, 0, True)]  # node, its color offset, whether on the clique
+    stack = []  # node, its color offset, whether on the clique
+    base = 0
+    for v in tops:
+        stack.append((v, base, True))
+        base += omega[v]
     while stack:
-        node, base, on = stack.pop()
-        if isinstance(node, Leaf):
-            colors[node.vertex] = base
+        v, base, on = stack.pop()
+        if v < n:
+            colors[v] = base
             if on:
-                clique.append(node.vertex)
-        elif node.kind == JOIN:
-            for c in node.children:
+                clique.append(v)
+        elif kind[v] == JOIN:
+            for c in kids[v]:
                 stack.append((c, base, on))
-                base += omega(c)
+                base += omega[c]
         else:
-            widest = max(node.children, key=omega) if on else None
-            stack.extend((c, base, c is widest) for c in node.children)
+            widest = max(kids[v], key=omega.__getitem__) if on else -1
+            stack.extend((c, base, c == widest) for c in kids[v])
+    clique.reverse()  # the walk meets the leaves right to left
     return colors, clique
 
 
 def max_clique_leaves(root: Cotree) -> tuple[int, ...]:
     """Vertices of one maximum clique, chosen deterministically."""
-    return clique_table(root)[id(root)]
-
-
-def clique_table(root: Cotree) -> dict[int, tuple[int, ...]]:
-    """One maximum clique of every subtree, keyed by node identity: a
-    union takes its first widest child's, a join the concatenation of its
-    children's, so a subtree's clique number is the length of its entry."""
-    cliques: dict[int, tuple[int, ...]] = {}
-    for node in _postorder(root):
-        if isinstance(node, Leaf):
-            cliques[id(node)] = (node.vertex,)
-        elif node.kind == UNION:
-            cliques[id(node)] = max((cliques[id(c)] for c in node.children), key=len)
-        else:
-            # at most one longer than the edges this join adds, so all the
-            # cliques together take time linear in the size of the graph
-            cliques[id(node)] = tuple(v for c in node.children for v in cliques[id(c)])
-    return cliques
+    tree = _arrays(root)
+    return tuple(_walk_down(tree, (tree.root,))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +535,7 @@ def classify(g: Graph) -> GraphClass:
         return GraphClass(THRESHOLD)
     if pg.name == NOT_COGRAPH:
         return GraphClass(NOT_COGRAPH, "P4", pg.p4)
-    return GraphClass(pg.name, *_witness(pg.cotree, pg.name))
+    return GraphClass(pg.name, *_witness(pg.tree, pg.name))
 
 
 class _PreparedGraph:
@@ -496,7 +555,7 @@ class _PreparedGraph:
     def __init__(self, g: Graph):
         self.g = g
         self.order = threshold_elimination(g)
-        self._tree: Cotree | None = None
+        self._tree: _Tree | None = None
         self.p4: tuple[int, int, int, int] | None = None
         if self.order is not None:
             self.name = THRESHOLD
@@ -507,12 +566,12 @@ class _PreparedGraph:
             self.name, self.p4 = NOT_COGRAPH, exc.witness
 
     @property
-    def cotree(self) -> Cotree:
+    def tree(self) -> _Tree:
         """The cotree, built on first use; NotCographError if there is none."""
         if self._tree is None:
             if self.p4 is not None:
                 raise NotCographError(self.p4)
-            self._tree = build_cotree(self.g)
+            self._tree = _classed_cotree(self.g)[0]
         return self._tree
 
     @property
@@ -522,10 +581,10 @@ class _PreparedGraph:
         if self.order is not None:
             universals = sum(1 for _, tag in self.order.steps if tag == UNIVERSAL)
             return universals + min(self.g.n, 1)
-        return clique_number(self.cotree)
+        return self.tree.omega[-1]
 
 
-def _witness(root: Cotree, name: str) -> tuple[str, tuple[int, int, int, int]]:
+def _witness(tree: _Tree, name: str) -> tuple[str, tuple[int, int, int, int]]:
     """The induced C4 of a cograph (name COGRAPH) or 2K2 of a trivially
     perfect graph that is not threshold, as (witness kind, witness).
 
@@ -536,19 +595,21 @@ def _witness(root: Cotree, name: str) -> tuple[str, tuple[int, int, int, int]]:
     two children of the first node of the other kind in that child's
     postorder.  A C4 is listed in cycle order, a 2K2 edge by edge.
     """
+    n, kinds, kids = tree.n, tree.kind, tree.kids
     kind = JOIN if name == COGRAPH else UNION
-    for node in _postorder(root):
-        if isinstance(node, Leaf) or node.kind != kind:
+    for v in _subtree(tree, tree.root):
+        if kinds[v] != kind:
             continue
-        inner = [c for c in node.children if isinstance(c, Internal)]
+        inner = [c for c in kids[v] if c >= n]
         if len(inner) < 2:
             continue
         ends = []
         for child in inner[:2]:
-            first = next(
-                x for x in _postorder(child) if isinstance(x, Internal) and x.kind != kind
-            )
-            ends += (cotree_leaves(x)[0] for x in first.children[:2])
+            first = next(x for x in _subtree(tree, child) if x >= n and kinds[x] != kind)
+            for x in kids[first][:2]:
+                while x >= n:
+                    x = kids[x][0]
+                ends.append(x)
         a, b, c, d = ends
         return ("C4", (a, c, b, d)) if kind == JOIN else ("2K2", (a, b, c, d))
     raise AssertionError(f"no witness in the cotree of a {name}")

@@ -318,42 +318,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph._from_sets(len(old), [frozenset(map(index, adj[u] & keep)) for u in old]), old
 
 
-def graph_union(a: Graph, b: Graph) -> Graph:
-    """Disjoint union; b's vertices are shifted by a.n."""
-    edges = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
-    return Graph(a.n + b.n, edges)
-
-
-def graph_join(a: Graph, b: Graph) -> Graph:
-    """Join: disjoint union plus all edges between the two sides."""
-    edges = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
-    edges.extend((u, v + a.n) for u in range(a.n) for v in range(b.n))
-    return Graph(a.n + b.n, edges)
-
-
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel vertices: new id of vertex v is perm[v]."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     return Graph(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
-
-
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Distances from source; -1 for unreachable vertices."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in g.adjacency[v]:
-                if dist[u] < 0:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return dist
 
 
 # ---------------------------------------------------------------------------

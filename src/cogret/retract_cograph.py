@@ -44,23 +44,21 @@ from dataclasses import dataclass
 
 from .cotree import (
     COGRAPH,
-    Internal,
     JOIN,
-    Leaf,
     NOT_COGRAPH,
     THRESHOLD,
     UNION,
     Cotree,
     NotCographError,
+    _LEAF,
     _NO_CLASS,
     _PreparedGraph,
-    _postorder,
+    _Tree,
+    _arrays,
+    _classed_cotree,
+    _omegas,
+    _subtree,
     _walk_down,
-    build_cotree,
-    clique_table,
-    cotree_leaves,
-    max_clique_leaves,
-    optimal_coloring,
 )
 from .graph_core import (
     Graph,
@@ -86,11 +84,13 @@ def hom_exists(g: Graph, h: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """
     if g.n == 0:
         return True, ()
-    coloring = optimal_coloring(build_cotree(g))
+    tg = _classed_cotree(g)[0]
+    coloring = _walk_down(tg, (tg.root,))[0]
     if h.n == 0:
         return False, None  # chi(g) >= 1 > 0 = omega(h)
-    clique = sorted(max_clique_leaves(build_cotree(h)))
-    if max(coloring.values()) + 1 > len(clique):  # chi(g) > omega(h)
+    th = _classed_cotree(h)[0]
+    clique = sorted(_walk_down(th, (th.root,))[1])
+    if tg.omega[-1] > len(clique):  # chi(g) > omega(h)
         return False, None
     return True, tuple(clique[coloring[v]] for v in range(g.n))
 
@@ -132,11 +132,11 @@ def partitioned_retract(inst: PartitionedInstance) -> RetractCertificate | NoRet
         if g.n == 0:
             return RetractCertificate(rho=(), gamma=())
         return NoRetract("empty pattern set")
-    return _partitioned_on_cotree(g, build_cotree(g), hset)
+    return _partitioned_on_cotree(g, _classed_cotree(g)[0], hset)
 
 
 def _partitioned_on_cotree(
-    g: Graph, tree: Cotree, hset: frozenset[int]
+    g: Graph, tree: _Tree, hset: frozenset[int]
 ) -> RetractCertificate | NoRetract:
     """partitioned_retract from g's cotree, for a nonempty pattern set.
     The pattern graph is built only to verify a YES."""
@@ -144,13 +144,12 @@ def _partitioned_on_cotree(
     if kept:
         return NoRetract("pruning fixpoint keeps vertices outside the pattern", tuple(kept))
     # a fold's clique lies in its sibling, whose own folds come later in
-    # the list, so walking the folds backwards finds the clique resolved
+    # the list, so walking the folds backwards finds the clique resolved;
+    # the branch's color i goes where the clique's i-th vertex went
     resolve: dict[int, int] = {v: v for v in hset}
-    for branch, clique in reversed(folds):
-        if isinstance(branch, Leaf):
-            resolve[branch.vertex] = resolve[clique[0]]
-        else:
-            resolve.update(_coloring_into(branch, [resolve[v] for v in clique]))
+    for branch, target in reversed(folds):
+        clique = [resolve[v] for v in _walk_down(tree, (target,))[1]]
+        resolve.update((v, clique[c]) for v, c in _walk_down(tree, (branch,))[0].items())
     gamma = tuple(sorted(hset))
     index = {v: i for i, v in enumerate(gamma)}
     cert = RetractCertificate(rho=tuple(index[resolve[v]] for v in range(g.n)), gamma=gamma)
@@ -160,49 +159,37 @@ def _partitioned_on_cotree(
     return cert
 
 
-def _prune_plan(
-    tree: Cotree, hset: frozenset[int]
-) -> tuple[list[tuple[Cotree, tuple[int, ...]]], list[int]]:
-    """What repeated pruning of tree keeps, from its clique table and one
-    pass up and one down.
+def _prune_plan(tree: _Tree, hset: frozenset[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """What repeated pruning of tree keeps, from its clique numbers, the
+    pattern's clique numbers in every subtree and one pass down.
 
-    Returns the pruned branches, ancestors before descendants, each with a
-    maximum clique of the widest kept sibling it folds into, and the
-    sorted non-pattern vertices that are kept.
+    Returns the pruned branches, ancestors before descendants, each with
+    the widest kept sibling it folds into, and the sorted non-pattern
+    vertices that are kept.
     """
-    clique = clique_table(tree)
-
-    def omega(node: Cotree) -> int:
-        return len(clique[id(node)])
-
-    has_h: dict[int, bool] = {}
-    for node in _postorder(tree):
-        if isinstance(node, Leaf):
-            has_h[id(node)] = node.vertex in hset
-        else:
-            has_h[id(node)] = any(has_h[id(c)] for c in node.children)
-
-    folds: list[tuple[Cotree, tuple[int, ...]]] = []
+    n, kind, kids = tree.n, tree.kind, tree.kids
+    omega, inside = tree.omega, _omegas(tree, hset)  # inside[v] > 0: v's subtree meets hset
+    folds: list[tuple[int, int]] = []
     kept: list[int] = []
-    stack = [tree]
+    stack = [tree.root]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            if node.vertex not in hset:
-                kept.append(node.vertex)
+        v = stack.pop()
+        if v < n:
+            if v not in hset:
+                kept.append(v)
             continue
-        if node.kind == JOIN:
-            stack.extend(node.children)
+        if kind[v] == JOIN:
+            stack.extend(kids[v])
             continue
-        stay = [c for c in node.children if has_h[id(c)]]
-        free = [c for c in node.children if not has_h[id(c)]]
+        stay = [c for c in kids[v] if inside[c]]
+        free = [c for c in kids[v] if not inside[c]]
         if free:
-            last = max(reversed(free), key=omega)
-            if all(omega(c) < omega(last) for c in stay):
+            last = max(reversed(free), key=omega.__getitem__)
+            if all(omega[c] < omega[last] for c in stay):
                 stay.append(last)
-                free = [c for c in free if c is not last]
+                free.remove(last)
         # ties go to a pattern-bearing child, which comes first in stay
-        target = clique[id(max(stay, key=omega))]
+        target = max(stay, key=omega.__getitem__)
         folds.extend((c, target) for c in free)
         stack.extend(stay)
     kept.sort()
@@ -217,7 +204,6 @@ def _prune_plan(
 # empty when the clique or equal-label shortcut answered.
 _Plan = tuple[tuple[int, tuple[int, ...]], ...]
 _Counts = tuple[int, ...]  # a multiset of pattern cocomponents, counted per class
-_LEAF = "L"
 
 
 class _CotreePairs:
@@ -230,33 +216,34 @@ class _CotreePairs:
     cocomponents gets its label from theirs without building a subtree.
     """
 
-    def __init__(self, tg: Cotree, th: Cotree):
+    def __init__(self, tg: _Tree | Cotree, th: _Tree | Cotree):
         self.index: dict[tuple[str, tuple[int, ...]], int] = {}
         self.kind: list[str] = []
         self.kids: list[tuple[int, ...]] = []
         self.omega: list[int] = []  # clique number; a clique has omega == size
         self.size: list[int] = []  # vertex count
         self.alpha: list[int] = []  # independence number
-        self.labels: dict[int, int] = {}  # id(node) -> label, both cotrees
         self.memo: dict[tuple[int, int], str | _Plan] = {}
-        self.roots = (tg, th)  # keeps the labelled nodes, and their ids, alive
-        index, labels = self.index, self.labels
-        leaf = self.intern(_LEAF, ())  # label 0, as every postorder starts at a leaf
-        for root in self.roots:
-            for node in _postorder(root):
-                if isinstance(node, Leaf):
-                    labels[id(node)] = leaf
-                    continue
-                kind = node.kind
-                kids = tuple(sorted([labels[id(c)] for c in node.children]))
-                label = index.get((kind, kids))
-                labels[id(node)] = self.intern(kind, kids) if label is None else label
+        self.intern(_LEAF, ())  # label 0, as every postorder starts at a leaf
+        self.g, self.h = _arrays(tg), _arrays(th)
+        self.glab, self.hlab = self._label(self.g), self._label(self.h)  # per node
 
-    def label(self, node: Cotree) -> int:
-        return self.labels[id(node)]
+    def _label(self, tree: _Tree) -> list[int]:
+        """Label every node of tree, interning in left-to-right postorder,
+        and set the tree's clique numbers from the labels."""
+        index, kind, kids = self.index, tree.kind, tree.kids
+        labels = [0] * len(kind)  # every leaf has label 0
+        for v in _subtree(tree, tree.root):
+            if kids[v]:
+                key = (kind[v], tuple(sorted(map(labels.__getitem__, kids[v]))))
+                got = index.get(key)
+                labels[v] = self.intern(*key) if got is None else got
+        tree.omega = list(map(self.omega.__getitem__, labels))
+        return labels
 
-    def node_omega(self, node: Cotree) -> int:
-        return self.omega[self.labels[id(node)]]
+    def label(self, tree: _Tree | Cotree) -> int:
+        """The label of a cotree, given as a _Tree or as Leaf/Internal values."""
+        return self._label(_arrays(tree))[-1]
 
     def intern(self, kind: str, kids: tuple[int, ...]) -> int:
         """Label of a node of this kind over children with these sorted labels."""
@@ -502,83 +489,69 @@ class _CotreePairs:
 
     # -- certificates ----------------------------------------------------------
 
-    def certify(self, gn: Cotree, hn: Cotree, b: int, rho: dict, gamma: dict) -> None:
-        """Add the maps of a YES pair to rho and gamma; hn has label b."""
-        if isinstance(gn, Leaf):  # a single vertex retracts onto itself only
-            assert isinstance(hn, Leaf)
-            rho[gn.vertex] = hn.vertex
-            gamma[hn.vertex] = gn.vertex
+    def certify(self, x: int, ys: tuple[int, ...], b: int, rho: dict, gamma: dict) -> None:
+        """Add the maps of a YES pair to rho and gamma: host node x and the
+        pattern side ys, the join of these pattern nodes, with label b."""
+        g, h, glab, hlab = self.g, self.h, self.glab, self.hlab
+        if x < g.n:  # a single vertex retracts onto itself only
+            (y,) = ys
+            rho[x] = y
+            gamma[y] = x
             return
-        a = self.label(gn)
+        a = glab[x]
         if self.omega[b] == self.size[b]:
-            self._clique_maps(gn, hn, rho, gamma)
+            self._clique_maps(x, ys, rho, gamma)
             return
         if a == b:
-            self._iso_maps(gn, hn, rho, gamma)
+            self._iso_maps(x, ys, rho, gamma)
             return
         plan = self.memo[(a, b)]
         assert not isinstance(plan, str), "certify called on a NO pair"
-        assert isinstance(gn, Internal)
-        gkids = sorted(gn.children, key=self.label)
+        gkids = sorted(g.kids[x], key=glab.__getitem__)
         if self.kind[a] == UNION and self.kind[b] != UNION:
-            hkids, hlabels = [hn], [b]
+            hkids, hlabels = [ys], [b]
         else:
-            assert isinstance(hn, Internal)
-            hkids = sorted(hn.children, key=self.label)
-            hlabels = [self.label(c) for c in hkids]
+            hk = sorted(h.kids[ys[0]] if len(ys) == 1 else ys, key=hlab.__getitem__)
+            hkids, hlabels = [(y,) for y in hk], [hlab[y] for y in hk]
         for i, js in plan:
-            if len(js) == 1:
-                sub: Cotree = hkids[js[0]]
-            else:
-                sub = Internal(JOIN, tuple(hkids[j] for j in js))
+            sub = tuple(y for j in js for y in hkids[j])
             self.certify(gkids[i], sub, self.joined([hlabels[j] for j in js]), rho, gamma)
         if len(plan) < len(gkids):  # host components left over at a union
             widest = max(range(len(hkids)), key=lambda j: self.omega[hlabels[j]])
-            clique = sorted(_walk_down(hkids[widest], self.node_omega)[1])
+            clique = sorted(_walk_down(h, hkids[widest])[1])
             matched = {i for i, _ in plan}
             for i, comp in enumerate(gkids):
                 if i not in matched:
-                    colors = _walk_down(comp, self.node_omega)[0]
-                    rho.update((v, clique[c]) for v, c in colors.items())
+                    rho.update((v, clique[c]) for v, c in _walk_down(g, (comp,))[0].items())
 
-    def _clique_maps(self, gn: Cotree, hn: Cotree, rho: dict, gamma: dict) -> None:
+    def _clique_maps(self, x: int, ys: tuple[int, ...], rho: dict, gamma: dict) -> None:
         """Maps onto a clique pattern with the host's clique number: the
         color class of a maximum clique's i-th vertex goes to the pattern's."""
-        colors, clique = _walk_down(gn, self.node_omega)
+        colors, clique = _walk_down(self.g, (x,))
         clique.sort()
-        h_sorted = sorted(cotree_leaves(hn))
+        h_sorted = sorted(_walk_down(self.h, ys)[1])  # all of a clique
         assert len(clique) == len(h_sorted)
         to_h = {colors[v]: y for v, y in zip(clique, h_sorted)}
         rho.update({v: to_h[c] for v, c in colors.items()})
         gamma.update(zip(h_sorted, clique))
 
-    def _iso_maps(self, gn: Cotree, hn: Cotree, rho: dict, gamma: dict) -> None:
+    def _iso_maps(self, x: int, ys: tuple[int, ...], rho: dict, gamma: dict) -> None:
         """Isomorphism between equally labelled subtrees, and its inverse."""
-        stack = [(gn, hn)]
+        gkids, hkids, n = self.g.kids, self.h.kids, self.g.n
+        glab, hlab = self.glab.__getitem__, self.hlab.__getitem__
+        top = hkids[ys[0]] if len(ys) == 1 else ys  # x is internal, and so is the pattern
+        stack = list(zip(sorted(gkids[x], key=glab), sorted(top, key=hlab)))
         while stack:
-            x, y = stack.pop()
-            if isinstance(x, Leaf):
-                assert isinstance(y, Leaf)
-                rho[x.vertex] = y.vertex
-                gamma[y.vertex] = x.vertex
+            u, y = stack.pop()
+            if u < n:
+                rho[u] = y
+                gamma[y] = u
             else:
-                assert isinstance(y, Internal)
-                stack.extend(
-                    zip(
-                        sorted(x.children, key=self.label),
-                        sorted(y.children, key=self.label),
-                    )
-                )
-
-
-def _coloring_into(gn: Cotree, clique: list[int]) -> dict[int, int]:
-    """Edge-preserving map of gn's graph onto a clique of at least its
-    chromatic number: an optimal coloring, color i to clique[i]."""
-    return {v: clique[c] for v, c in optimal_coloring(gn).items()}
+                stack.extend(zip(sorted(gkids[u], key=glab), sorted(hkids[y], key=hlab)))
 
 
 def cotree_pair_retract(
-    g: Graph, h: Graph, tg: Cotree, th: Cotree
+    g: Graph, h: Graph, tg: _Tree | Cotree, th: _Tree | Cotree
 ) -> RetractCertificate | NoRetract:
     """Decide whether h is a retract of g from their cotrees tg and th.
 
@@ -589,13 +562,13 @@ def cotree_pair_retract(
     cannot give every pattern component its own host component).
     """
     solver = _CotreePairs(tg, th)
-    b = solver.label(th)
-    outcome = solver.decide(solver.label(tg), b)
+    b = solver.hlab[-1]
+    outcome = solver.decide(solver.glab[-1], b)
     if isinstance(outcome, str):
         return NoRetract(outcome)
     rho: dict[int, int] = {}
     gamma: dict[int, int] = {}
-    solver.certify(tg, th, b, rho, gamma)
+    solver.certify(solver.g.root, (solver.h.root,), b, rho, gamma)
     cert = RetractCertificate(
         rho=tuple(rho[v] for v in range(g.n)),
         gamma=tuple(gamma[y] for y in range(h.n)),
@@ -666,4 +639,4 @@ def _routed_retract(
         route = "threshold" if names == {THRESHOLD} else "fpt" if COGRAPH in names else "tp"
     if route == "threshold":
         return _solve_threshold(pg.g, ph.g, pg.order, ph.order), route
-    return cotree_pair_retract(pg.g, ph.g, pg.cotree, ph.cotree), route
+    return cotree_pair_retract(pg.g, ph.g, pg.tree, ph.tree), route

@@ -18,20 +18,14 @@ from cogret.cotree import (
     UNION,
     Cotree,
     CotreeError,
+    NotCographError,
     _postorder,
     build_cotree,
     cotree_leaves,
     cotree_to_graph,
-    omega_table,
+    find_induced_p4,
 )
-from cogret.graph_core import (
-    Graph,
-    ParseError,
-    _random_composition,
-    graph_join,
-    graph_union,
-    relabel,
-)
+from cogret.graph_core import Graph, ParseError, _random_composition, relabel
 from cogret.matching import BipartiteInstance, Matching, max_matching, saturates_right
 from cogret.retract_threshold import ISOLATED, UNIVERSAL, EliminationOrder
 
@@ -64,6 +58,41 @@ TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 # vertex 0 universal in both; pendant side of the paw is vertex 1
 PAW = Graph(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
 BUTTERFLY = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
+
+
+# ---------------------------------------------------------------------------
+# graph operations the tests build inputs and check answers with
+
+
+def graph_union(a: Graph, b: Graph) -> Graph:
+    """Disjoint union; b's vertices are shifted by a.n."""
+    edges = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
+    return Graph(a.n + b.n, edges)
+
+
+def graph_join(a: Graph, b: Graph) -> Graph:
+    """Join: disjoint union plus all edges between the two sides."""
+    edges = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
+    edges.extend((u, v + a.n) for u in range(a.n) for v in range(b.n))
+    return Graph(a.n + b.n, edges)
+
+
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """Distances from source; -1 for unreachable vertices."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for u in g.adjacency[v]:
+                if dist[u] < 0:
+                    dist[u] = d
+                    nxt.append(u)
+        frontier = nxt
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +191,14 @@ def cotree_chain(depth: int) -> Cotree:
     return node
 
 
+def universal_isolated_chain(base: Graph, k: int) -> Graph:
+    """base plus k vertices added alternately universal and isolated."""
+    node = build_cotree(base)
+    for i in range(k):
+        node = Internal(UNION if i % 2 else JOIN, (Leaf(base.n + i), node))
+    return cotree_to_graph(node)
+
+
 def cotree_shape(root: Cotree) -> list[tuple]:
     """The ordered tree as a postorder list of (vertex) and (kind, arity)
     entries, so deep trees compare without recursive __eq__."""
@@ -184,6 +221,29 @@ def count_cotree_builds(monkeypatch) -> Counter:
     id(graph) to the builds of that graph so far, so the caller keeps the
     graphs it counts alive."""
     return _count_calls(monkeypatch, "_classed_cotree", cotree_module._classed_cotree)
+
+
+def count_cotree_facts(monkeypatch) -> Counter:
+    """Count, per cotree, the passes that work out the clique numbers of
+    all its subtrees: the solver's labelling, which sets them from the
+    labels, and _omegas over the whole tree (a pass restricted to a
+    pattern's vertices is not one).  The Counter maps id(tree) to its
+    passes so far; the caller keeps the trees alive."""
+    calls: Counter = Counter()
+    omegas, label = cotree_module._omegas, cograph_module._CotreePairs._label
+
+    def counted_omegas(tree, within=None):
+        if within is None:
+            calls[id(tree)] += 1
+        return omegas(tree, within)
+
+    def counted_label(self, tree):
+        calls[id(tree)] += 1
+        return label(self, tree)
+
+    monkeypatch.setattr(cotree_module, "_omegas", counted_omegas)
+    monkeypatch.setattr(cograph_module._CotreePairs, "_label", counted_label)
+    return calls
 
 
 def count_eliminations(monkeypatch) -> Counter:
@@ -577,7 +637,13 @@ def reference_optimal_coloring(root: Cotree) -> dict[int, int]:
     """optimal_coloring bottom-up: each node merges its children's
     colorings, a join shifting each child's by the clique numbers of the
     children before it."""
-    omega = omega_table(root)
+    omega: dict[int, int] = {}
+    for node in _postorder(root):
+        if isinstance(node, Leaf):
+            omega[id(node)] = 1
+        else:
+            got = [omega[id(c)] for c in node.children]
+            omega[id(node)] = max(got) if node.kind == UNION else sum(got)
     coloring: dict[int, dict[int, int]] = {}
     for node in _postorder(root):
         if isinstance(node, Leaf):
@@ -703,6 +769,36 @@ def reference_cotree_pair_retract(g: Graph, h: Graph, tg: Cotree, th: Cotree):
         return cograph_module.cotree_pair_retract(g, h, tg, th)
     finally:
         cograph_module._CotreePairs = solver
+
+
+def reference_build_cotree(g: Graph) -> Cotree:
+    """build_cotree as the split builder once assembled it: one split per
+    node, then Leaf and Internal values from a dict keyed by vertex tuples,
+    children before their parents."""
+    if g.n == 0:
+        raise ValueError("cannot build a cotree for the empty graph")
+    root_vs = tuple(range(g.n))
+    plan: dict[tuple[int, ...], tuple[str, list[tuple[int, ...]]]] = {}
+    stack: list[tuple[tuple[int, ...], str | None]] = [(root_vs, None)]
+    while stack:
+        vs, parent = stack.pop()
+        if len(vs) == 1:
+            continue
+        for kind in (UNION, JOIN):
+            if kind == parent:
+                continue
+            parts = cotree_module._split(g, vs, kind == JOIN)
+            if len(parts) > 1:
+                plan[vs] = (kind, parts)
+                stack.extend((p, kind) for p in parts)
+                break
+        else:
+            raise NotCographError(find_induced_p4(g, vs))
+    built: dict[tuple[int, ...], Cotree] = {(v,): Leaf(v) for v in root_vs}
+    for vs in reversed(plan):
+        kind, parts = plan[vs]
+        built[vs] = Internal(kind, tuple(built[p] for p in parts))
+    return built[root_vs]
 
 
 def reference_random_cograph(n: int, seed: int) -> Graph:

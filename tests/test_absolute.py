@@ -6,15 +6,15 @@ import pytest
 
 from cogret import absolute
 from cogret.absolute import _with_true_twin, counterexample_embedding, is_absolute_retract
-from cogret.cotree import NotCographError, build_cotree, cotree_to_graph, normalize
-from cogret.graph_core import (
-    Graph,
-    NoRetract,
-    bfs_distances,
-    components,
-    graph_union,
-    induced_subgraph,
+from cogret.cotree import (
+    NotCographError,
+    _arrays,
+    _objects,
+    build_cotree,
+    cotree_to_graph,
+    normalize,
 )
+from cogret.graph_core import Graph, NoRetract, components, induced_subgraph
 from cogret.oracle import brute_clique, brute_retract, canonical_graph_key
 from cogret.retract_cograph import PartitionedInstance, partitioned_retract
 
@@ -26,8 +26,10 @@ from tests.helpers import (
     PAW,
     TWO_K2,
     all_connected_cographs,
+    bfs_distances,
     cotree_chain,
     count_cotree_builds,
+    graph_union,
 )
 
 
@@ -169,7 +171,7 @@ class TestCounterexamples:
                 twin = next(
                     v for v in g.adjacency[n] if g.adjacency[v] - {n} == g.adjacency[n] - {v}
                 )
-                tree = _with_true_twin(build_cotree(h), twin, n)
+                tree = _objects(_with_true_twin(_arrays(build_cotree(h)), twin))
                 assert cotree_to_graph(tree) == g
                 assert tree == normalize(tree)
 

@@ -22,7 +22,6 @@ from cogret.graph_core import (
     NoRetract,
     RetractCertificate,
     compose_certificates,
-    graph_join,
     induced_subgraph,
     random_cograph,
     verify_retract_certificate,
@@ -52,6 +51,7 @@ from tests.helpers import (
     all_connected_cographs,
     all_threshold_graphs,
     all_tp_graphs,
+    graph_join,
     random_omega_preserving_extension,
     random_tp_graph,
     sparse_random_threshold_graph,

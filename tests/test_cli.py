@@ -45,6 +45,7 @@ from tests.helpers import (
     all_cographs,
     cotree_chain,
     count_cotree_builds,
+    count_cotree_facts,
     count_eliminations,
 )
 
@@ -388,6 +389,28 @@ class TestCotreeBuilds:
         assert list(builds.values()) == [1]
         # the YES is verified against the one pattern graph built
         assert patterns == [[0, 1, 2]]
+
+    @pytest.mark.parametrize(
+        "args, route, cotrees",
+        [
+            (["butterfly.ct", "k3.ct"], "tp", 2),
+            (["c4.el", "k2.el"], "fpt", 2),
+            (["butterfly.ct", "paw.el", "--solver", "fpt"], "fpt", 2),
+            (["butterfly.ct", "--partitioned", "hset.txt"], "partitioned", 1),
+            (["butterfly.ct", "--partitioned", "hset_no.txt"], "partitioned", 1),
+        ],
+    )
+    def test_each_cotree_labelled_once(self, runner, files, monkeypatch, args, route, cotrees):
+        # the solver's labels, or one pass when no solver labels the tree,
+        # give the clique numbers that the solver, the certificate and
+        # the report's omegas read
+        Path(files["dir"], "hset_no.txt").write_text("0 1 3\n")
+        files["hset_no.txt"] = str(Path(files["dir"], "hset_no.txt"))
+        facts = count_cotree_facts(monkeypatch)
+        code, report = run_json(runner, ["retract", *(files.get(a, a) for a in args)])
+        assert code in (0, 1) and report["route"] == route
+        assert report["omega_g"] == (2 if "c4.el" in args else 3)
+        assert list(facts.values()) == [1] * cotrees
 
     def test_threshold_solver_eliminates_each_graph_once(self, runner, files, monkeypatch):
         eliminations = count_eliminations(monkeypatch)

@@ -17,8 +17,13 @@ from cogret.cotree import (
     THRESHOLD,
     TRIVIALLY_PERFECT,
     UNION,
+    _LEAF,
     _PreparedGraph,
+    _arrays,
+    _classed_cotree,
     _forest_cotree,
+    _objects,
+    _omegas,
     _split_cotree,
     build_cotree,
     canonical_key,
@@ -31,7 +36,6 @@ from cogret.cotree import (
     format_cotree,
     max_clique_leaves,
     normalize,
-    omega_table,
     optimal_coloring,
     parse_cotree,
 )
@@ -56,6 +60,7 @@ from tests.helpers import (
     random_graph,
     random_threshold_graph,
     random_tp_graph,
+    reference_build_cotree,
     reference_optimal_coloring,
     sparse_random_threshold_graph,
 )
@@ -201,7 +206,7 @@ class TestForestPass:
         for n in range(1, 8):
             for g in all_cographs(n):
                 for h in (g, _shuffled(g, rng), _shuffled(g, rng)):
-                    assert build_cotree(h) == _split_cotree(h)
+                    assert build_cotree(h) == _objects(_split_cotree(h))
 
     def test_same_tree_on_random_tp_and_threshold_graphs(self):
         rng = random.Random("forest-large")
@@ -218,7 +223,7 @@ class TestForestPass:
         for g in graphs:
             forest = _forest_cotree(g)
             assert forest is not None
-            assert forest == _split_cotree(g)
+            assert _objects(forest) == _objects(_split_cotree(g))
 
     def test_accepts_exactly_the_trivially_perfect_graphs(self):
         for n in range(1, 6):
@@ -248,7 +253,7 @@ class TestForestPass:
             built = build_cotree(g)
         finally:
             sys.setrecursionlimit(limit)
-        assert cotree_shape(built) == cotree_shape(_split_cotree(g))
+        assert cotree_shape(built) == cotree_shape(_objects(_split_cotree(g)))
 
     def test_p4_witnesses_unchanged(self):
         graphs = [g for g in _all_graphs(5) if _brute_class(g) == NOT_COGRAPH]
@@ -259,6 +264,65 @@ class TestForestPass:
             with pytest.raises(NotCographError) as split:
                 _split_cotree(g)
             assert built.value.witness == split.value.witness
+
+
+def _check_arrays(tree, n: int) -> None:
+    """Leaves 0..n-1, then internal nodes with two or more children, each
+    numbered after its children, every node but the root the child of one."""
+    assert tree.n == n and tree.kind[:n] == [_LEAF] * n and tree.kids[:n] == [()] * n
+    assert len(tree.kind) == len(tree.kids)
+    parents = [0] * len(tree.kind)
+    for v in range(n, len(tree.kind)):
+        assert tree.kind[v] in (UNION, JOIN) and len(tree.kids[v]) >= 2
+        for c in tree.kids[v]:
+            assert c < v
+            parents[c] += 1
+    assert parents == [1] * tree.root + [0]
+
+
+class TestArrayForm:
+    """The builders emit arrays; _objects gives build_cotree's values and
+    _arrays takes them back."""
+
+    def _graphs(self):
+        for n in range(1, 7):
+            yield from _all_graphs(n)
+        yield from (random_cograph(n, seed) for n in range(7, 200, 7) for seed in range(3))
+        yield from (random_forest_graph(n, seed) for n in (50, 300, 1000) for seed in range(3))
+        yield cotree_to_graph(cotree_chain(1500))
+
+    def test_converters_round_trip_to_the_reference_builder(self):
+        cographs = 0
+        for g in self._graphs():
+            try:
+                expected = reference_build_cotree(g)
+            except NotCographError as exc:
+                with pytest.raises(NotCographError) as err:
+                    _classed_cotree(g)
+                assert err.value.witness == exc.witness
+                continue
+            cographs += 1
+            tree = _classed_cotree(g)[0]
+            _check_arrays(tree, g.n)
+            assert cotree_shape(_objects(tree)) == cotree_shape(expected)
+            back = _arrays(expected)
+            _check_arrays(back, g.n)
+            assert cotree_shape(_objects(back)) == cotree_shape(expected)
+            assert _arrays(tree) is tree
+        assert cographs > 1000
+
+    def test_arrays_of_a_subtree_keep_its_vertex_ids(self):
+        tree = _arrays(Internal(JOIN, (Leaf(4), Internal(UNION, (Leaf(2), Leaf(7))))))
+        assert tree.n == 8 and tree.kids[tree.root] == (4, 8)
+        assert tree.omega[tree.root] == 2
+        assert optimal_coloring(_objects(tree)) == {2: 1, 4: 0, 7: 1}
+
+    def test_omega_is_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cotree_module, "_omegas", lambda tree: calls.append(tree) or [1])
+        tree = _classed_cotree(K1)[0]
+        assert tree.omega == tree.omega == [1]
+        assert calls == [tree]
 
 
 class TestWitnessExtraction:
@@ -335,11 +399,11 @@ class TestCliqueChromatic:
     def test_omega_within_pattern_exhaustively(self):
         for n in range(1, 7):
             for g in all_cographs(n):
-                tree = build_cotree(g)
+                tree = _classed_cotree(g)[0]
                 for mask in range(1, 1 << n):
                     hset = frozenset(v for v in range(n) if mask >> v & 1)
                     h, _ = induced_subgraph(g, hset)
-                    assert omega_table(tree, hset)[id(tree)] == clique_number(build_cotree(h))
+                    assert _omegas(tree, hset)[-1] == clique_number(build_cotree(h))
 
     def test_optimal_coloring_is_proper_and_tight(self):
         for seed in range(80):
@@ -447,14 +511,14 @@ class TestPreparedGraph:
         ]
         for g in graphs:
             prepared = _PreparedGraph(g)
-            assert prepared.cotree is prepared.cotree
-            assert prepared.omega == clique_number(prepared.cotree)
+            assert prepared.tree is prepared.tree
+            assert prepared.omega == clique_number(_objects(prepared.tree))
             assert builds[id(g)] == 1
 
     def test_not_cograph_keeps_its_witness(self):
         prepared = _PreparedGraph(P4)
         with pytest.raises(NotCographError) as err:
-            prepared.cotree
+            prepared.tree
         assert err.value.witness == prepared.p4 == classify(P4).witness
 
 

@@ -15,7 +15,7 @@ from cogret.folding import (
     threshold_folding_number,
     verify_fold_sequence,
 )
-from cogret.graph_core import Graph, components, graph_join, induced_subgraph, random_cograph
+from cogret.graph_core import Graph, components, induced_subgraph, random_cograph
 from cogret.oracle import brute_achromatic, brute_chromatic, brute_folding_number
 from cogret.retract_threshold import NotThresholdError
 
@@ -32,6 +32,7 @@ from tests.helpers import (
     all_threshold_graphs,
     count_cotree_builds,
     count_eliminations,
+    graph_join,
     random_threshold_graph,
 )
 

@@ -8,10 +8,11 @@ import pytest
 from cogret.cotree import (
     UNION,
     NotCographError,
-    _postorder,
+    _arrays,
+    _classed_cotree,
+    _subtree,
     build_cotree,
     clique_number,
-    cotree_leaves,
     cotree_to_graph,
     max_clique_leaves,
 )
@@ -20,8 +21,6 @@ from cogret.graph_core import (
     NoRetract,
     RetractCertificate,
     complement,
-    graph_join,
-    graph_union,
     induced_subgraph,
     is_homomorphism,
     random_cograph,
@@ -33,6 +32,7 @@ from cogret.oracle import (
     brute_partitioned_retract,
     brute_retract,
 )
+from cogret.retract_tp import tp_retract
 from cogret.retract_cograph import (
     _LEAF,
     PartitionedInstance,
@@ -60,12 +60,17 @@ from tests.helpers import (
     all_cographs,
     all_cotrees,
     cotree_chain,
+    TWO_K2,
     count_cotree_builds,
+    count_cotree_facts,
     count_eliminations,
+    graph_join,
+    graph_union,
     random_cotree,
     random_threshold_graph,
     random_tp_graph,
     reference_cotree_pair_retract,
+    universal_isolated_chain,
 )
 
 
@@ -143,14 +148,15 @@ class TestPartitioned:
         for _ in range(300):
             g = random_cograph(rng.randint(2, 7), rng.randrange(10 ** 6))
             hset = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
-            folds, _ = _prune_plan(build_cotree(g), hset)
+            tree = _classed_cotree(g)[0]
+            folds, _ = _prune_plan(tree, hset)
             if not folds:
                 continue
             checked += 1
             before = brute_partitioned_retract(g, hset)
-            for branch, clique in folds:
-                assert len(clique) >= clique_number(branch)
-                gone = set(cotree_leaves(branch))
+            for branch, target in folds:
+                assert tree.omega[target] >= tree.omega[branch]
+                gone = {v for v in _subtree(tree, branch) if v < g.n}
                 reduced, table = induced_subgraph(g, [v for v in range(g.n) if v not in gone])
                 after = brute_partitioned_retract(reduced, frozenset(table.index(v) for v in hset))
                 assert isinstance(before, NoRetract) == isinstance(after, NoRetract)
@@ -159,8 +165,8 @@ class TestPartitioned:
     def test_answers_on_deep_cotree_without_recursion(self):
         # chain vertex i hangs at level i: odd levels are joins, even ones unions
         depth = 1200
-        tree = cotree_chain(depth)
-        g = cotree_to_graph(tree)
+        tree = _arrays(cotree_chain(depth))
+        g = cotree_to_graph(cotree_chain(depth))
         yes_set = frozenset([0] + list(range(1, depth + 1, 2)))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
@@ -246,9 +252,9 @@ class TestComponentPruning:
             for tree in all_cotrees(n):
                 graph = cotree_to_graph(tree)
                 solver = _CotreePairs(tree, tree)
-                for node in _postorder(tree):
-                    label = solver.label(node)
-                    sub, _ = induced_subgraph(graph, cotree_leaves(node))
+                for node in _subtree(solver.g, solver.g.root):
+                    label = solver.glab[node]
+                    sub, _ = induced_subgraph(graph, [v for v in _subtree(solver.g, node) if v < n])
                     assert solver.size[label] == sub.n
                     assert solver.alpha[label] == brute_clique(complement(sub))
 
@@ -258,7 +264,7 @@ class TestComponentPruning:
         for tg in trees:
             for th in trees:
                 solver = _CotreePairs(tg, th)
-                tree_labels = set(solver.labels.values())
+                tree_labels = set(solver.glab + solver.hlab)
                 solver.decide(solver.label(tg), solver.label(th))
                 for label in range(len(solver.kind)):
                     if label in tree_labels:
@@ -318,6 +324,54 @@ class TestComponentPruning:
             assert not isinstance(solver.decide(solver.label(tg), solver.label(th)), str)
             memo_sizes.append(len(solver.memo))
         assert memo_sizes[0] < memo_sizes[1]
+
+
+class TestArraySolver:
+    """The solver labels each cotree once, in one loop that also sets its
+    clique numbers, and works on arrays at any depth."""
+
+    def _pairs(self):
+        rng = random.Random("facts-once")
+        for seed in range(6):
+            h = random_tp_graph(rng.randint(5, 60), seed)
+            yield _with_false_twins(h, 5, rng), h
+            yield h, K(clique_number(build_cotree(h)))
+            h = cotree_to_graph(random_cotree(rng.randint(5, 30), seed))
+            yield _with_false_twins(h, 5, rng), h
+        yield BUTTERFLY, PAW
+        yield C4, K2
+
+    def test_each_cotree_labelled_once(self, monkeypatch):
+        facts = count_cotree_facts(monkeypatch)
+        answers, routes = set(), set()
+        for g, h in self._pairs():
+            facts.clear()
+            result, route = retract(g, h)
+            assert sorted(facts.values()) == ([] if route == "threshold" else [1, 1])
+            answers.add(type(result))
+            routes.add(route)
+            for run in [fpt_retract] + ([tp_retract] if route != "fpt" else []):
+                facts.clear()
+                assert type(run(g, h)) is type(result)
+                assert sorted(facts.values()) == [1, 1]
+        assert answers == {RetractCertificate, NoRetract}
+        assert {"tp", "fpt"} <= routes
+
+    def test_deep_chains_build_and_label_without_recursion(self):
+        graphs = [cotree_to_graph(cotree_chain(2000)), universal_isolated_chain(TWO_K2, 2000)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            trees = [_classed_cotree(g)[0] for g in graphs]
+            solver = _CotreePairs(*trees)
+            shapes = [len(_arrays(build_cotree(g)).kind) for g in graphs]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert shapes == [len(t.kind) for t in trees] == [4001, 4007]
+        # every level is a new subtree; the 2K2 is a union of two equal K2s
+        assert [len(set(solver.glab)), len(set(solver.hlab))] == [1 + 2000, 1 + 2 + 2000]
+        assert [solver.size[solver.glab[-1]], solver.size[solver.hlab[-1]]] == [2001, 2004]
+        assert trees[0].omega[-1] == 1001 and trees[1].omega[-1] == 1002
 
 
 class TestDispatcher:

@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from cogret.cotree import JOIN, UNION, Internal, Leaf, build_cotree, cotree_to_graph
 from cogret.graph_core import (
     Graph,
     NoRetract,
@@ -32,6 +31,7 @@ from tests.helpers import (
     all_threshold_graphs,
     all_tp_graphs,
     random_tp_graph,
+    universal_isolated_chain,
 )
 
 
@@ -118,22 +118,14 @@ class TestTpRetract:
                     assert result.reason in codes, (list(g.edges()), list(h.edges()))
 
 
-def _universal_isolated_chain(base: Graph, k: int) -> Graph:
-    """base plus k vertices added alternately universal and isolated."""
-    node = build_cotree(base)
-    for i in range(k):
-        node = Internal(UNION if i % 2 else JOIN, (Leaf(base.n + i), node))
-    return cotree_to_graph(node)
-
-
 def test_deep_chain_pairs_answer_at_the_default_recursion_limit():
     # the solver recurses twice per cotree level; 450 levels must leave
     # room under the default limit of 1000 frames
-    g = _universal_isolated_chain(TWO_K2, 450)
+    g = universal_isolated_chain(TWO_K2, 450)
     patterns = [
         g,
         induced_subgraph(g, range(g.n - 1))[0],
-        _universal_isolated_chain(Graph(3, [(0, 1)]), 450),
+        universal_isolated_chain(Graph(3, [(0, 1)]), 450),
     ]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
