@@ -75,14 +75,13 @@ def is_absolute_retract(h: Graph) -> AbsoluteVerdict:
         if kind[v] == UNION:
             stack.extend((c, above if omega[c] == omega[v] else None) for c in kids[v])
             continue
-        # the children's cliques in order, each omega[c] long
-        joined = () if above is None else tuple(_walk_down(tree, (v,))[1])
-        start = 0
+        if above is None:
+            stack.extend((c, None) for c in kids[v])
+            continue
+        joined, start = tuple(_walk_down(tree, (v,))[1]), 0  # the children's cliques in order
         for c in kids[v]:
-            k = omega[c]
-            rest = None if above is None else above + joined[:start] + joined[start + k :]
-            stack.append((c, rest))
-            start += k
+            stack.append((c, above + joined[:start] + joined[start + omega[c] :]))
+            start += omega[c]
     failing = tuple(v for v in range(h.n) if v not in found)
     if not failing:
         return AbsoluteVerdict(is_absolute=True, max_cliques=dict(sorted(found.items())))

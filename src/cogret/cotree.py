@@ -77,8 +77,7 @@ class _Tree:
 
     @cached_property
     def omega(self) -> list[int]:
-        """Clique number of every node's subtree, unless a solver's labels
-        gave it first."""
+        """Clique number of every node's subtree, unless solver labels set it."""
         return _omegas(self)
 
 
@@ -113,8 +112,7 @@ def _objects(tree: _Tree) -> Cotree:
 
 
 def _arrays(root: Cotree | _Tree) -> _Tree:
-    """root as a _Tree, or a _Tree as it is.  Leaf ids must be distinct;
-    ids missing below the largest leave unused leaf slots."""
+    """root as a _Tree (a _Tree as it is), with a leaf slot per id up to the largest."""
     if isinstance(root, _Tree):
         return root
     order = _postorder(root)
@@ -222,10 +220,13 @@ def _forest_cotree(g: Graph) -> _Tree | None:
     Chen and Chang 1996): in order of non-increasing degree, each vertex
     hangs under its latest earlier neighbour.  Adjacent vertices of a
     trivially perfect graph have nested closed neighbourhoods, else there
-    is an induced P4 or C4, so N[v] lies in N[parent(v)] for every v.
-    Conversely, once that holds, each ancestor of v is adjacent to v and
-    each earlier neighbour of v is an ancestor of v (by induction along
-    the order), so g is the forest's closure and the test is exact.  A
+    is an induced P4 or C4, so the d earlier neighbours of v are its
+    ancestors, one at each depth below d, and N[v] lies in N[parent(v)].
+    The pass takes as parent the one earlier neighbour at depth d - 1 and
+    checks both.  Conversely, once they hold for every v, N[v] lies in
+    N[parent(v)] and so in N[a] for every ancestor a; by induction along
+    the order the ancestors are d earlier neighbours of v, so they are
+    all of them, and g is the forest's closure: the test is exact.  A
     vertex with children is the join of itself with the union of their
     subtrees; a vertex with one child is its true twin and joins the
     child's join.
@@ -233,19 +234,24 @@ def _forest_cotree(g: Graph) -> _Tree | None:
     adj = g.adjacency
     neg = [-len(a) for a in adj]
     order = sorted(range(g.n), key=neg.__getitem__)  # stable: ties by id
-    rank = [0] * g.n
-    for i, v in enumerate(order):
-        rank[v] = i
     children: list[list[int]] = [[] for _ in order]
     roots: list[int] = []
     seen: set[int] = set()
+    depth: list[set[int]] = []  # the vertices placed at each depth so far
     for v in order:
         earlier = adj[v] & seen
         seen.add(v)
-        if not earlier:
+        d = len(earlier)
+        while len(depth) <= d:
+            depth.append(set())
+        depth[d].add(v)
+        if not d:
             roots.append(v)
             continue
-        p = max(earlier, key=rank.__getitem__)
+        parent = earlier & depth[d - 1]
+        if len(parent) != 1:
+            return None
+        (p,) = parent
         if len(adj[v] - adj[p]) != 1:  # adj[v] holds p; anything else is outside N[p]
             return None
         children[p].append(v)
@@ -299,7 +305,7 @@ def _split_cotree(g: Graph) -> _Tree:
     copy a deep cotree would cost its depth times the graph's size.
     """
     plan: dict[tuple[int, ...], tuple[str, list[tuple[int, ...]]]] = {}  # in preorder
-    stack: list[tuple[tuple[int, ...], str | None]] = [(tuple(range(g.n)), None)]  # part, parent kind
+    stack: list[tuple[tuple[int, ...], str | None]] = [(tuple(range(g.n)), None)]
     while stack:
         vs, parent = stack.pop()
         if len(vs) == 1:
@@ -606,10 +612,7 @@ def _witness(tree: _Tree, name: str) -> tuple[str, tuple[int, int, int, int]]:
         ends = []
         for child in inner[:2]:
             first = next(x for x in _subtree(tree, child) if x >= n and kinds[x] != kind)
-            for x in kids[first][:2]:
-                while x >= n:
-                    x = kids[x][0]
-                ends.append(x)
+            ends += (_subtree(tree, x)[0] for x in kids[first][:2])  # first leaves
         a, b, c, d = ends
         return ("C4", (a, c, b, d)) if kind == JOIN else ("2K2", (a, b, c, d))
     raise AssertionError(f"no witness in the cotree of a {name}")

@@ -26,6 +26,12 @@ private Hopcroft-Karp core on the edge list the solver builds.  Labels
 interned during the search, for joins of pattern cocomponents, serve
 only as memo keys: every sort key reads labels fixed at construction.
 
+Both cotrees come as arrays (cotree._Tree).  One loop per cotree interns
+its labels in left-to-right postorder, host first, and sets every node's
+clique number from its label; certificates walk the same arrays.  A
+pattern side that is the join of several cocomponents has no node of its
+own, so certify takes the pattern side as a tuple of node ids.
+
 Every label also carries its vertex count and independence number (sums
 over a union's children; at a join the count is the sum and the
 independence number the maximum).  A retract has its host's clique
@@ -495,8 +501,7 @@ class _CotreePairs:
         g, h, glab, hlab = self.g, self.h, self.glab, self.hlab
         if x < g.n:  # a single vertex retracts onto itself only
             (y,) = ys
-            rho[x] = y
-            gamma[y] = x
+            rho[x], gamma[y] = y, x
             return
         a = glab[x]
         if self.omega[b] == self.size[b]:
@@ -544,8 +549,7 @@ class _CotreePairs:
         while stack:
             u, y = stack.pop()
             if u < n:
-                rho[u] = y
-                gamma[y] = u
+                rho[u], gamma[y] = y, u
             else:
                 stack.extend(zip(sorted(gkids[u], key=glab), sorted(hkids[y], key=hlab)))
 

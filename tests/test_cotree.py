@@ -226,10 +226,12 @@ class TestForestPass:
             assert _objects(forest) == _objects(_split_cotree(g))
 
     def test_accepts_exactly_the_trivially_perfect_graphs(self):
-        for n in range(1, 6):
-            for g in _all_graphs(n):
-                tp = _brute_class(g) in (THRESHOLD, TRIVIALLY_PERFECT)
-                assert (_forest_cotree(g) is not None) == tp, g.edges
+        graphs = [g for n in range(1, 6) for g in _all_graphs(n)]
+        graphs += [random_graph(8 + seed % 5, seed, 0.2 + seed % 7 / 10) for seed in range(600)]
+        graphs += [_shuffled(random_tp_graph(10, seed), random.Random(seed)) for seed in range(100)]
+        for g in graphs:
+            tp = _brute_class(g) in (THRESHOLD, TRIVIALLY_PERFECT)
+            assert (_forest_cotree(g) is not None) == tp, g.edges
 
     def test_split_builder_only_without_a_forest(self, monkeypatch):
         graphs = all_cographs(6)
