@@ -26,11 +26,10 @@ private Hopcroft-Karp core on the edge list the solver builds.  Labels
 interned during the search, for joins of pattern cocomponents, serve
 only as memo keys: every sort key reads labels fixed at construction.
 
-Both cotrees come as arrays (cotree._Tree).  One loop per cotree interns
-its labels in left-to-right postorder, host first, and sets every node's
-clique number from its label; certificates walk the same arrays.  A
-pattern side that is the join of several cocomponents has no node of its
-own, so certify takes the pattern side as a tuple of node ids.
+Both cotrees come as arrays (cotree._Tree): one loop per cotree interns
+its labels in left-to-right postorder, host first, and gives every node
+its clique number.  A pattern side that joins several cocomponents has
+no node of its own, so certify takes it as a tuple of node ids.
 
 Every label also carries its vertex count and independence number (sums
 over a union's children; at a join the count is the sum and the
@@ -153,9 +152,10 @@ def _partitioned_on_cotree(
     # the list, so walking the folds backwards finds the clique resolved;
     # the branch's color i goes where the clique's i-th vertex went
     resolve: dict[int, int] = {v: v for v in hset}
-    for branch, target in reversed(folds):
+    for branches, target in reversed(folds):
         clique = [resolve[v] for v in _walk_down(tree, (target,))[1]]
-        resolve.update((v, clique[c]) for v, c in _walk_down(tree, (branch,))[0].items())
+        for branch in branches:
+            resolve.update((v, clique[c]) for v, c in _walk_down(tree, (branch,))[0].items())
     gamma = tuple(sorted(hset))
     index = {v: i for i, v in enumerate(gamma)}
     cert = RetractCertificate(rho=tuple(index[resolve[v]] for v in range(g.n)), gamma=gamma)
@@ -165,17 +165,17 @@ def _partitioned_on_cotree(
     return cert
 
 
-def _prune_plan(tree: _Tree, hset: frozenset[int]) -> tuple[list[tuple[int, int]], list[int]]:
+def _prune_plan(tree: _Tree, hset: frozenset[int]) -> tuple[list[tuple[list[int], int]], list[int]]:
     """What repeated pruning of tree keeps, from its clique numbers, the
     pattern's clique numbers in every subtree and one pass down.
 
-    Returns the pruned branches, ancestors before descendants, each with
-    the widest kept sibling it folds into, and the sorted non-pattern
-    vertices that are kept.
+    Returns the branches each union prunes, unions before the unions
+    below them, with the widest kept sibling they fold into, and the
+    sorted non-pattern vertices that are kept.
     """
     n, kind, kids = tree.n, tree.kind, tree.kids
     omega, inside = tree.omega, _omegas(tree, hset)  # inside[v] > 0: v's subtree meets hset
-    folds: list[tuple[int, int]] = []
+    folds: list[tuple[list[int], int]] = []
     kept: list[int] = []
     stack = [tree.root]
     while stack:
@@ -194,9 +194,8 @@ def _prune_plan(tree: _Tree, hset: frozenset[int]) -> tuple[list[tuple[int, int]
             if all(omega[c] < omega[last] for c in stay):
                 stay.append(last)
                 free.remove(last)
-        # ties go to a pattern-bearing child, which comes first in stay
-        target = max(stay, key=omega.__getitem__)
-        folds.extend((c, target) for c in free)
+        if free:  # ties go to a pattern-bearing child, which comes first in stay
+            folds.append((free, max(stay, key=omega.__getitem__)))
         stack.extend(stay)
     kept.sort()
     return folds, kept

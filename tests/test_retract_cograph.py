@@ -154,7 +154,7 @@ class TestPartitioned:
                 continue
             checked += 1
             before = brute_partitioned_retract(g, hset)
-            for branch, target in folds:
+            for branch, target in ((b, t) for branches, t in folds for b in branches):
                 assert tree.omega[target] >= tree.omega[branch]
                 gone = {v for v in _subtree(tree, branch) if v < g.n}
                 reduced, table = induced_subgraph(g, [v for v in range(g.n) if v not in gone])
