@@ -84,75 +84,7 @@ _SOURCES = {
 }
 _SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
-__all__ = [
-    "AbsoluteVerdict",
-    "BipartiteInstance",
-    "BudgetExceededError",
-    "CompleteColoring",
-    "Cotree",
-    "EliminationOrder",
-    "FoldError",
-    "FoldSequence",
-    "Graph",
-    "GraphClass",
-    "Internal",
-    "Leaf",
-    "Matching",
-    "NoRetract",
-    "NotCographError",
-    "NotThresholdError",
-    "NotTriviallyPerfectError",
-    "ParseError",
-    "PartitionedInstance",
-    "RetractCertificate",
-    "SearchBudget",
-    "ThreePartitionInstance",
-    "apply_fold",
-    "brute_3partition",
-    "brute_achromatic",
-    "brute_chromatic",
-    "brute_clique",
-    "brute_folding_number",
-    "brute_hom",
-    "brute_retract",
-    "build_cotree",
-    "canonical_key",
-    "chromatic_number",
-    "classify",
-    "clique_number",
-    "complement",
-    "components",
-    "compose_certificates",
-    "cotree_to_graph",
-    "counterexample_embedding",
-    "encode",
-    "folding_number_universal",
-    "format_cotree",
-    "format_edge_list",
-    "format_graph6",
-    "fpt_retract",
-    "hom_exists",
-    "induced_subgraph",
-    "is_absolute_retract",
-    "is_homomorphism",
-    "max_matching",
-    "normalize",
-    "parse_cotree",
-    "parse_edge_list",
-    "parse_graph6",
-    "partitioned_retract",
-    "random_cograph",
-    "retract",
-    "saturates_right",
-    "threshold_elimination",
-    "threshold_folding_number",
-    "threshold_retract",
-    "tp_retract",
-    "universal_vertices",
-    "validate",
-    "verify_fold_sequence",
-    "verify_retract_certificate",
-]
+__all__ = sorted(_SOURCE_OF)
 
 
 def __getattr__(name: str):

@@ -123,7 +123,7 @@ def _counterexample(h: Graph, tree: _Tree) -> Graph:
         adj[u] = adj[u] | {new}
     adj.append(twin)
     g = Graph._from_sets(h.n + 1, adj)
-    answer = _partitioned_on_cotree(g, _with_true_twin(tree, twin_of), frozenset(range(h.n)))
+    answer = _partitioned_on_cotree(g, _with_true_twin(tree, twin_of), frozenset(range(h.n)))[0]
     if not isinstance(answer, NoRetract):
         raise AssertionError("counterexample construction failed certification")
     return g

@@ -25,7 +25,6 @@ from .cotree import (
     NotCographError,
     _NO_CLASS,
     _PreparedGraph,
-    _omegas,
     classify,
     cotree_leaves,
     cotree_to_graph,
@@ -187,7 +186,6 @@ def _solve_pair(
         PartitionedInstance,
         _partitioned_on_cotree,
         _routed_retract,
-        partitioned_retract,
     )
 
     g = _load_graph(g_path)
@@ -201,11 +199,7 @@ def _solve_pair(
             except ValueError as exc:
                 raise CommandError(f"{partitioned_path}: {exc}")
             pg = _PreparedGraph(g)
-            if inst.hset:
-                result = _partitioned_on_cotree(g, pg.tree, inst.hset)
-                omega_h = _omegas(pg.tree, inst.hset)[-1]
-            else:
-                result, omega_h = partitioned_retract(inst), 0  # the empty-pattern answers
+            result, omega_h = _partitioned_on_cotree(g, pg.tree if inst.hset else None, inst.hset)
             route = "partitioned"
         else:
             assert h_path is not None

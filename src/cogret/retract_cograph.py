@@ -17,12 +17,12 @@ pattern is a clique, or when the labels are equal.  Otherwise union
 levels match pattern components to host components, and join levels
 give each host cocomponent a multiset of pattern cocomponents with the
 same clique-number sum, trying isomorphic host cocomponents in
-non-increasing order only.  Where both sides of a join have equally many
-cocomponents each multiset is one cocomponent, and the search walks
-class indices with the same decisions in the same order.  A connected
-pattern at a union takes the first host component that retracts onto
-it, as the matching would; other unions run the matching module's
-private Hopcroft-Karp core on the edge list the solver builds.  Labels
+non-increasing order only.  One iterative search writes each multiset as
+a nondecreasing run of class indices and tries the runs in lexicographic
+order, with no recursion per class or per host.  A connected pattern at
+a union takes the first host component that retracts onto it, as the
+matching would; other unions run the matching module's private
+Hopcroft-Karp core on the edge list the solver builds.  Labels
 interned during the search, for joins of pattern cocomponents, serve
 only as memo keys: every sort key reads labels fixed at construction.
 
@@ -43,8 +43,6 @@ missing matching edge.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cotree import (
@@ -133,21 +131,24 @@ def partitioned_retract(inst: PartitionedInstance) -> RetractCertificate | NoRet
     a P4 witness) when the host is not a cograph.
     """
     g, hset = inst.g, inst.hset
-    if not hset:
-        if g.n == 0:
-            return RetractCertificate(rho=(), gamma=())
-        return NoRetract("empty pattern set")
-    return _partitioned_on_cotree(g, _classed_cotree(g)[0], hset)
+    return _partitioned_on_cotree(g, _classed_cotree(g)[0] if hset else None, hset)[0]
 
 
 def _partitioned_on_cotree(
-    g: Graph, tree: _Tree, hset: frozenset[int]
-) -> RetractCertificate | NoRetract:
-    """partitioned_retract from g's cotree, for a nonempty pattern set.
-    The pattern graph is built only to verify a YES."""
-    folds, kept = _prune_plan(tree, hset)
+    g: Graph, tree: _Tree | None, hset: frozenset[int]
+) -> tuple[RetractCertificate | NoRetract, int]:
+    """partitioned_retract from g's cotree, which is read only when the
+    pattern set is nonempty, with the pattern's clique number.  The
+    pattern graph is built only to verify a YES."""
+    if not hset:
+        if g.n == 0:
+            return RetractCertificate(rho=(), gamma=()), 0
+        return NoRetract("empty pattern set"), 0
+    inside = _omegas(tree, hset)
+    folds, kept = _prune_plan(tree, inside)
     if kept:
-        return NoRetract("pruning fixpoint keeps vertices outside the pattern", tuple(kept))
+        reason = "pruning fixpoint keeps vertices outside the pattern"
+        return NoRetract(reason, tuple(kept)), inside[-1]
     # a fold's clique lies in its sibling, whose own folds come later in
     # the list, so walking the folds backwards finds the clique resolved;
     # the branch's color i goes where the clique's i-th vertex went
@@ -162,26 +163,27 @@ def _partitioned_on_cotree(
     h, _ = induced_subgraph(g, hset)
     if not verify_retract_certificate(g, h, cert):
         raise AssertionError("partitioned solver produced an invalid certificate")
-    return cert
+    return cert, inside[-1]
 
 
-def _prune_plan(tree: _Tree, hset: frozenset[int]) -> tuple[list[tuple[list[int], int]], list[int]]:
+def _prune_plan(tree: _Tree, inside: list[int]) -> tuple[list[tuple[list[int], int]], list[int]]:
     """What repeated pruning of tree keeps, from its clique numbers, the
-    pattern's clique numbers in every subtree and one pass down.
+    pattern's clique numbers in every subtree (inside; a vertex is in the
+    pattern iff its own is 1) and one pass down.
 
     Returns the branches each union prunes, unions before the unions
     below them, with the widest kept sibling they fold into, and the
     sorted non-pattern vertices that are kept.
     """
     n, kind, kids = tree.n, tree.kind, tree.kids
-    omega, inside = tree.omega, _omegas(tree, hset)  # inside[v] > 0: v's subtree meets hset
+    omega = tree.omega  # and inside[v] > 0: v's subtree meets the pattern
     folds: list[tuple[list[int], int]] = []
     kept: list[int] = []
     stack = [tree.root]
     while stack:
         v = stack.pop()
         if v < n:
-            if v not in hset:
+            if not inside[v]:
                 kept.append(v)
             continue
         if kind[v] == JOIN:
@@ -208,7 +210,6 @@ def _prune_plan(tree: _Tree, hset: frozenset[int]) -> tuple[list[tuple[list[int]
 # children) pairs over both sides' children sorted by label.  The plan is
 # empty when the clique or equal-label shortcut answered.
 _Plan = tuple[tuple[int, tuple[int, ...]], ...]
-_Counts = tuple[int, ...]  # a multiset of pattern cocomponents, counted per class
 
 
 class _CotreePairs:
@@ -295,8 +296,6 @@ class _CotreePairs:
             got = self._decide_components(a, b)
         elif self.kind[b] == UNION:
             got = "matching-deficit"  # no connected graph has a disconnected retract
-        elif len(self.kids[b]) == len(self.kids[a]):
-            got = self._decide_equal(a, b)
         else:
             got = self._decide_join(a, b)
         self.memo[key] = got
@@ -340,69 +339,6 @@ class _CotreePairs:
             return "matching-deficit"
         return tuple((i, (j,)) for i, j in pairs)
 
-    def _decide_equal(self, a: int, b: int) -> str | _Plan:
-        """_decide_join when host and pattern have equally many
-        cocomponents, so each host cocomponent takes exactly one pattern
-        cocomponent and a multiset is one class index.
-
-        Hosts go in (omega, label) order.  Each but the last tries, in
-        (omega, label) order, the classes of its own clique number that
-        still have an item; an isomorphic successor starts at its
-        predecessor's class, as the multisets there are non-increasing.
-        The last host takes the item left, under the same bound.  This
-        makes the decide calls of the multiset search in the same order, so
-        the plan and the first NO reason are the same.
-        """
-        omega = self.omega
-        gk, hk = self.kids[a], self.kids[b]  # both sorted by label
-        last = len(gk) - 1
-        # stable sorts on omega alone keep label order among equals
-        order = sorted(range(last + 1), key=list(map(omega.__getitem__, gk)).__getitem__)
-        hosts = list(map(gk.__getitem__, order))
-        tally = dict.fromkeys(hk, 0)
-        for y in hk:
-            tally[y] += 1
-        classes = sorted(tally, key=omega.__getitem__)
-        weights = list(map(omega.__getitem__, classes))
-        left = list(map(tally.__getitem__, classes))
-        picks: list[int] = []  # class index taken by hosts[:len(picks)]
-        k = 0  # the next class index hosts[len(picks)] tries
-        first_no = None
-        while True:
-            i = len(picks)
-            x = hosts[i]
-            if i < last:
-                w = omega[x]
-                while k < len(weights) and (weights[k] < w or not left[k]):
-                    k += 1
-                found = k < len(weights) and weights[k] == w
-            else:  # the one item left, if the bound allows it
-                j = left.index(1)
-                found = j >= k
-                k = j
-            if found:
-                got = self.decide(x, classes[k])
-                if isinstance(got, str):
-                    first_no = first_no or got
-                    k += 1
-                    continue
-                picks.append(k)
-                if i == last:
-                    break
-                left[k] -= 1
-                if hosts[i + 1] != x:
-                    k = 0
-                continue
-            if not picks:
-                return first_no or "universal-count"
-            k = picks.pop()
-            left[k] += 1
-            k += 1
-        pool: dict[int, list[int]] = {}
-        for j, y in enumerate(hk):
-            pool.setdefault(y, []).append(j)
-        return tuple((i, (pool[classes[c]].pop(),)) for i, c in zip(order, picks))
-
     def _decide_join(self, a: int, b: int) -> str | _Plan:
         """Give each host cocomponent a nonempty multiset of pattern
         cocomponents whose clique numbers sum to its own, such that it
@@ -413,84 +349,106 @@ class _CotreePairs:
         and the last one takes what is left.  On trivially perfect inputs
         this is forced: universal leaf to universal leaf, the rest to the
         non-leaf child.  A NO carries the reason of the first cocomponent
-        pair that failed.  decide sends joins with equally many
-        cocomponents on both sides to _decide_equal, which makes this
-        search's decide calls without its count vectors; here the pattern
-        has more cocomponents than the host, or fewer.
+        pair that failed.
+
+        One depth-first search writes each multiset as a nondecreasing run
+        of class indices, classes in (omega, label) order, and tries the
+        runs of a host in lexicographic order: the count vectors, largest
+        first.  No run is a prefix of another of the same clique-number
+        sum, and a run is at least its isomorphic predecessor's exactly
+        when its count vector is at most that one's.  Each host but the
+        last leaves an item for every later host.  An item is taken only
+        if it completes the run, or leaves at least its own clique number
+        to fill with room for another item: later items are no lighter.
+        With equally many cocomponents on both sides each run is one class
+        index, of the host's own clique number.
         """
-        gk, hk = self.kids[a], self.kids[b]
-        p = len(gk)
-        if len(hk) < p:
+        omega = self.omega
+        gk, hk = self.kids[a], self.kids[b]  # both sorted by label
+        p, q = len(gk), len(hk)
+        if q < p:
             return "universal-count"
-        order = sorted(range(p), key=lambda i: (self.omega[gk[i]], gk[i]))
-        hosts = [gk[i] for i in order]
-        classes = sorted(set(hk), key=lambda y: (self.omega[y], y))
-        parts: list[_Counts] = []  # multisets chosen for hosts[:len(parts)]
-
-        def candidates(i: int, left: _Counts) -> Iterator[_Counts]:
-            bound = parts[i - 1] if i and hosts[i] == hosts[i - 1] else None
-            if i == p - 1:
-                return iter([left] if bound is None or left <= bound else [])
-            room = sum(left) - (p - 1 - i)  # leave one for each later host
-            return self._parts(classes, left, self.omega[hosts[i]], room, bound)
-
-        tally = Counter(hk)
-        start = tuple(tally[c] for c in classes)
-        frames = [(candidates(0, start), start)]  # one per host being assigned
+        last, extra = p - 1, q - p  # extra: items beyond one per host
+        # stable sorts on omega alone keep label order among equals
+        order = sorted(range(p), key=list(map(omega.__getitem__, gk)).__getitem__)
+        hosts = list(map(gk.__getitem__, order))
+        tally = dict.fromkeys(hk, 0)
+        for y in hk:
+            tally[y] += 1
+        classes = sorted(tally, key=omega.__getitem__)
+        weights = list(map(omega.__getitem__, classes))
+        left = list(map(tally.__getitem__, classes))
+        top = len(classes)
+        picks: list[int] = []  # the runs of the hosts so far, one after another
+        starts = [0]  # hosts[i]'s run begins at picks[starts[i]]
+        need = omega[hosts[0]]  # clique number the current run still lacks
+        k = 0  # the next class index to try at picks[len(picks)]
+        lag = 0  # while the run copies its isomorphic predecessor's: that run's length
         first_no = None
-        while frames:
-            i = len(frames) - 1
-            tries, left = frames[i]
-            part = next(tries, None)
-            if part is None:
-                frames.pop()
-                if parts:
-                    parts.pop()
-                continue
-            got = self.decide(
-                hosts[i], self.joined([c for c, k in zip(classes, part) for _ in range(k)])
-            )
-            if isinstance(got, str):
+        while True:
+            i = len(starts) - 1
+            x = hosts[i]
+            y = -1  # the label of a complete run for x to decide, if there is one
+            if i < last:
+                while k < top and weights[k] <= need:
+                    w = weights[k]
+                    # an item that does not complete the run must leave room for another
+                    if left[k] and (w == need or need >= 2 * w and len(picks) - i < extra):
+                        break
+                    k += 1
+                else:
+                    w = 0
+                if w:
+                    if lag and k != picks[-lag]:
+                        lag = 0
+                    picks.append(k)
+                    left[k] -= 1
+                    need -= w
+                    if need:
+                        if lag:
+                            k = picks[-lag]
+                        continue
+                    start = starts[i]
+                    if len(picks) == start + 1:
+                        y = classes[k]
+                    else:
+                        y = self.joined([classes[c] for c in picks[start:]])
+            elif len(picks) == q - 1:  # the last host takes what is left, if it may
+                j = left.index(1)
+                if j >= k:  # k is the isomorphic predecessor's first class, or 0
+                    y = classes[j]
+            else:
+                run = [c for c in range(top) for _ in range(left[c])]
+                if not lag or run >= picks[-lag:]:
+                    y = self.joined([classes[c] for c in run])
+            if y >= 0:
+                got = self.decide(x, y)
+                if not isinstance(got, str):
+                    if i == last:
+                        break
+                    starts.append(len(picks))
+                    need = omega[hosts[i + 1]]
+                    lag = len(picks) - starts[i] if hosts[i + 1] == x else 0
+                    k = picks[-lag] if lag else 0
+                    continue
                 first_no = first_no or got
-                continue
-            parts.append(part)
-            if i < p - 1:
-                rest = tuple(x - y for x, y in zip(left, part))
-                frames.append((candidates(i + 1, rest), rest))
-                continue
-            pool: dict[int, list[int]] = {}
-            for j, y in enumerate(hk):
-                pool.setdefault(y, []).append(j)
-            return tuple(
-                (i, tuple(pool[c].pop() for c, k in zip(classes, part) for _ in range(k)))
-                for i, part in zip(order, parts)
-            )
-        return first_no or "universal-count"
-
-    def _parts(
-        self, classes: list[int], left: _Counts, target: int, room: int, bound: _Counts | None
-    ) -> Iterator[_Counts]:
-        """Count vectors over classes, at most `left`, with clique numbers
-        summing to target, at most `room` items and lexicographically at
-        most `bound`; largest first."""
-        counts = [0] * len(classes)
-
-        def fill(c: int, need: int, room: int, tight: bool) -> Iterator[_Counts]:
-            if need == 0:
-                yield tuple(counts)
-                return
-            if c == len(classes) or room == 0 or self.omega[classes[c]] > need:
-                return  # classes are in omega order: later ones are no lighter
-            w = self.omega[classes[c]]
-            top = min(left[c], need // w, room)
-            if tight:
-                top = min(top, bound[c])
-            for k in range(top, -1, -1):
-                counts[c] = k
-                yield from fill(c + 1, need - k * w, room - k, tight and k == bound[c])
-            counts[c] = 0
-
-        return fill(0, target, room, bound is not None)
+            if len(picks) == starts[-1]:  # back to the previous host's run
+                if i == 0:
+                    return first_no or "universal-count"
+                starts.pop()
+                need = 0  # that run was complete
+            c = picks.pop()
+            left[c] += 1
+            need += weights[c]
+            k = c + 1
+            lag = 0  # every run tried from here on passes c, and so the predecessor's
+        pool: dict[int, list[int]] = {}
+        for j, y in enumerate(hk):
+            pool.setdefault(y, []).append(j)
+        picks += [c for c in range(top) for _ in range(left[c])]  # the last host's run
+        starts.append(len(picks))
+        taken = [pool[classes[c]].pop() for c in picks]
+        return tuple([(i, tuple(taken[s:e])) for i, s, e in zip(order, starts, starts[1:])])
 
     # -- certificates ----------------------------------------------------------
 

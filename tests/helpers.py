@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter, deque
+from collections.abc import Iterator
 from functools import lru_cache
 
 from cogret import cotree as cotree_module
@@ -754,11 +755,100 @@ class ReferenceCotreePairs(cograph_module._CotreePairs):
         return tuple((i, (j,)) for i, j in matching.pairs)
 
 
-class MultisetCotreePairs(cograph_module._CotreePairs):
-    """_CotreePairs that sends every join with equally many host and
-    pattern cocomponents through the general multiset search."""
+_Counts = tuple[int, ...]  # a multiset of pattern cocomponents, counted per class
 
-    _decide_equal = cograph_module._CotreePairs._decide_join
+
+class MultisetCotreePairs(cograph_module._CotreePairs):
+    """_CotreePairs whose joins enumerate count vectors with a recursive
+    generator, largest first, behind a stack of frames, one per host
+    cocomponent: the reference whose decide calls the solver's run search
+    must make in the same order."""
+
+    def _decide_join(self, a: int, b: int):
+        """Give each host cocomponent a nonempty multiset of pattern
+        cocomponents whose clique numbers sum to its own, such that it
+        retracts onto their join.
+
+        Host cocomponents are taken in (omega, label) order.  Isomorphic
+        ones are interchangeable, so their multisets are non-increasing,
+        and the last one takes what is left.  On trivially perfect inputs
+        this is forced: universal leaf to universal leaf, the rest to the
+        non-leaf child.  A NO carries the reason of the first cocomponent
+        pair that failed.
+        """
+        gk, hk = self.kids[a], self.kids[b]
+        p = len(gk)
+        if len(hk) < p:
+            return "universal-count"
+        order = sorted(range(p), key=lambda i: (self.omega[gk[i]], gk[i]))
+        hosts = [gk[i] for i in order]
+        classes = sorted(set(hk), key=lambda y: (self.omega[y], y))
+        parts: list[_Counts] = []  # multisets chosen for hosts[:len(parts)]
+
+        def candidates(i: int, left: _Counts) -> Iterator[_Counts]:
+            bound = parts[i - 1] if i and hosts[i] == hosts[i - 1] else None
+            if i == p - 1:
+                return iter([left] if bound is None or left <= bound else [])
+            room = sum(left) - (p - 1 - i)  # leave one for each later host
+            return self._parts(classes, left, self.omega[hosts[i]], room, bound)
+
+        tally = Counter(hk)
+        start = tuple(tally[c] for c in classes)
+        frames = [(candidates(0, start), start)]  # one per host being assigned
+        first_no = None
+        while frames:
+            i = len(frames) - 1
+            tries, left = frames[i]
+            part = next(tries, None)
+            if part is None:
+                frames.pop()
+                if parts:
+                    parts.pop()
+                continue
+            got = self.decide(
+                hosts[i], self.joined([c for c, k in zip(classes, part) for _ in range(k)])
+            )
+            if isinstance(got, str):
+                first_no = first_no or got
+                continue
+            parts.append(part)
+            if i < p - 1:
+                rest = tuple(x - y for x, y in zip(left, part))
+                frames.append((candidates(i + 1, rest), rest))
+                continue
+            pool: dict[int, list[int]] = {}
+            for j, y in enumerate(hk):
+                pool.setdefault(y, []).append(j)
+            return tuple(
+                (i, tuple(pool[c].pop() for c, k in zip(classes, part) for _ in range(k)))
+                for i, part in zip(order, parts)
+            )
+        return first_no or "universal-count"
+
+    def _parts(
+        self, classes: list[int], left: _Counts, target: int, room: int, bound: _Counts | None
+    ) -> Iterator[_Counts]:
+        """Count vectors over classes, at most `left`, with clique numbers
+        summing to target, at most `room` items and lexicographically at
+        most `bound`; largest first."""
+        counts = [0] * len(classes)
+
+        def fill(c: int, need: int, room: int, tight: bool) -> Iterator[_Counts]:
+            if need == 0:
+                yield tuple(counts)
+                return
+            if c == len(classes) or room == 0 or self.omega[classes[c]] > need:
+                return  # classes are in omega order: later ones are no lighter
+            w = self.omega[classes[c]]
+            top = min(left[c], need // w, room)
+            if tight:
+                top = min(top, bound[c])
+            for k in range(top, -1, -1):
+                counts[c] = k
+                yield from fill(c + 1, need - k * w, room - k, tight and k == bound[c])
+            counts[c] = 0
+
+        return fill(0, target, room, bound is not None)
 
 
 def reference_cotree_pair_retract(g: Graph, h: Graph, tg: Cotree, th: Cotree):

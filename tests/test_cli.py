@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import cogret
 from cogret import cotree as cotree_module
+from cogret import cli as cli_module
 from cogret import retract_cograph
 from cogret.cli import main
 from cogret.cotree import (
@@ -48,6 +49,17 @@ from tests.helpers import (
     count_cotree_facts,
     count_eliminations,
 )
+
+
+def _noting_within(omegas, passes: list):
+    """omegas, noting each pass restricted to a vertex set in passes."""
+
+    def noted(tree, within=None):
+        if within is not None:
+            passes.append(within)
+        return omegas(tree, within)
+
+    return noted
 
 
 @pytest.fixture()
@@ -403,14 +415,21 @@ class TestCotreeBuilds:
     def test_each_cotree_labelled_once(self, runner, files, monkeypatch, args, route, cotrees):
         # the solver's labels, or one pass when no solver labels the tree,
         # give the clique numbers that the solver, the certificate and
-        # the report's omegas read
+        # the report's omegas read; a partitioned command makes one pass
+        # restricted to the pattern, for its pruning and its omega_h
         Path(files["dir"], "hset_no.txt").write_text("0 1 3\n")
         files["hset_no.txt"] = str(Path(files["dir"], "hset_no.txt"))
         facts = count_cotree_facts(monkeypatch)
+        restricted = []
+        for module in (cotree_module, retract_cograph, cli_module):
+            if hasattr(module, "_omegas"):
+                monkeypatch.setattr(module, "_omegas", _noting_within(module._omegas, restricted))
         code, report = run_json(runner, ["retract", *(files.get(a, a) for a in args)])
         assert code in (0, 1) and report["route"] == route
         assert report["omega_g"] == (2 if "c4.el" in args else 3)
         assert list(facts.values()) == [1] * cotrees
+        assert len(restricted) == (route == "partitioned")
+        assert report["omega_h"] == (2 if {"c4.el", "hset_no.txt"} & set(args) else 3)
 
     def test_threshold_solver_eliminates_each_graph_once(self, runner, files, monkeypatch):
         eliminations = count_eliminations(monkeypatch)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from cogret import retract_cograph
 from cogret.cotree import (
@@ -20,15 +20,22 @@ from cogret.cotree import (
     classify,
     cotree_to_graph,
     format_cotree,
+    max_clique_leaves,
 )
 from cogret.graph_core import Graph, induced_subgraph, random_cograph, relabel
+from cogret.reduction import ThreePartitionInstance, encode
 from cogret.retract_cograph import PartitionedInstance, partitioned_retract, retract
 from cogret.retract_threshold import UNIVERSAL, threshold_elimination, threshold_retract
 
 from tests.helpers import (
+    E,
+    K,
     MultisetCotreePairs,
     all_cographs,
     all_threshold_graphs,
+    graph_join,
+    graph_union,
+    random_cotree,
     random_forest_graph,
     random_graph,
     random_omega_preserving_extension,
@@ -199,15 +206,15 @@ def test_cotree_pair_answers_are_pinned():
 
 
 def test_multiset_search_gives_the_pinned_cotree_pair_answers(monkeypatch):
-    # the equal-count path must make the multiset search's decisions
+    # the reference multiset search must give the pinned answers too
     joins = [0]
-    multiset = MultisetCotreePairs._decide_equal
+    multiset = MultisetCotreePairs._decide_join
 
     def counted(self, a, b):
         joins[0] += 1
         return multiset(self, a, b)
 
-    monkeypatch.setattr(MultisetCotreePairs, "_decide_equal", counted)
+    monkeypatch.setattr(MultisetCotreePairs, "_decide_join", counted)
     monkeypatch.setattr(retract_cograph, "_CotreePairs", MultisetCotreePairs)
     assert digest(cotree_pair_answers()) == COTREE_PAIR_DIGEST
     assert joins[0] > 1000
@@ -237,11 +244,55 @@ def _logged(solver_class):
     return Logged
 
 
-def test_equal_count_joins_make_the_multiset_search_calls():
+def dense_cotree_pairs():
+    """random_cotree hosts with n from 20 to 80 against one maximum clique
+    plus about 60% of the other vertices: joins where the two sides often
+    have unequally many cocomponents, so parts of several items."""
+    rng = random.Random("dense-join")
+    for n in range(20, 81, 10):
+        for seed in range(24):
+            g = cotree_to_graph(random_cotree(n, seed))
+            keep = set(max_clique_leaves(build_cotree(g)))
+            keep |= {v for v in range(g.n) if rng.random() < 0.6}
+            yield build_cotree(g), build_cotree(induced_subgraph(g, keep)[0])
+
+
+def encoded_pairs():
+    """encode() of YES and NO 3-partition instances with m = 2 and 3."""
+    for m, B, items in (
+        (2, 16, (5, 5, 5, 5, 6, 6)),
+        (2, 16, (5, 5, 5, 5, 5, 7)),
+        (3, 13, (4, 4, 4, 5, 5, 5, 4, 4, 4)),
+        (3, 13, (4, 4, 4, 5, 4, 4, 6, 4, 4)),
+        (3, 19, (5, 5, 5, 7, 6, 7, 7, 9, 6)),
+        (3, 19, (6, 6, 5, 6, 7, 6, 6, 9, 6)),
+        (3, 22, (8, 7, 6, 6, 8, 9, 10, 6, 6)),
+        (3, 22, (7, 7, 7, 7, 10, 6, 7, 9, 6)),
+    ):
+        pair = encode(ThreePartitionInstance(m, B, items))
+        yield pair.g, pair.h
+
+
+def crowded_join_pairs():
+    """Joins where a part of its host's clique number could take the items
+    a later host needs: J(2K2, 2K2, 2K2) against J(2K1, 2K1, K4 + K1) and
+    against J(2K1, 2K1, 2K1, K3 + K1)."""
+    two_k2 = graph_union(K(2), K(2))
+    host = graph_join(graph_join(two_k2, two_k2), two_k2)
+    for rest in (graph_union(K(4), K(1)), graph_join(E(2), graph_union(K(3), K(1)))):
+        yield build_cotree(host), build_cotree(graph_join(graph_join(E(2), E(2)), rest))
+
+
+def test_join_search_makes_the_multiset_search_calls():
     # the same decide calls in the same order, so the same memo and the
     # same labels interned for joined pattern parts
-    for g, h in seeded_cotree_pairs(400):
-        tg, th = build_cotree(g), build_cotree(h)
+    trees_g = [build_cotree(g) for n in range(1, 8) for g in all_cographs(n)]
+    trees_h = [build_cotree(h) for n in range(1, 6) for h in all_cographs(n)]
+    small = ((tg, th) for tg in trees_g for th in trees_h)
+    seeded = ((build_cotree(g), build_cotree(h)) for g, h in seeded_cotree_pairs(400))
+    calls = 0
+    pairs = chain(small, seeded, dense_cotree_pairs(), encoded_pairs(), crowded_join_pairs())
+    for tg, th in pairs:
         runs = []
         for solver_class in (retract_cograph._CotreePairs, MultisetCotreePairs):
             solver = _logged(solver_class)(tg, th)
@@ -249,6 +300,8 @@ def test_equal_count_joins_make_the_multiset_search_calls():
             solver.decide(solver.label(tg), solver.label(th))
             runs.append((solver.calls, list(solver.memo.items()), solver.kids))
         assert runs[0] == runs[1]
+        calls += len(runs[0][0])
+    assert calls > 100000
 
 
 PARTITIONED_DIGEST = "d5d5088c45e588413f48fce9d86596f705068fd2f41dbdf9ee8246f94f740b6c"

@@ -6,10 +6,13 @@ import sys
 import pytest
 
 from cogret.cotree import (
+    JOIN,
     UNION,
     NotCographError,
+    _Tree,
     _arrays,
     _classed_cotree,
+    _omegas,
     _subtree,
     build_cotree,
     clique_number,
@@ -149,7 +152,7 @@ class TestPartitioned:
             g = random_cograph(rng.randint(2, 7), rng.randrange(10 ** 6))
             hset = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
             tree = _classed_cotree(g)[0]
-            folds, _ = _prune_plan(tree, hset)
+            folds, _ = _prune_plan(tree, _omegas(tree, hset))
             if not folds:
                 continue
             checked += 1
@@ -171,11 +174,12 @@ class TestPartitioned:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
-            cert = _partitioned_on_cotree(g, tree, yes_set)
-            no = _partitioned_on_cotree(g, tree, frozenset({0}))
+            cert, omega_h = _partitioned_on_cotree(g, tree, yes_set)
+            no, omega_no = _partitioned_on_cotree(g, tree, frozenset({0}))
         finally:
             sys.setrecursionlimit(limit)
         assert isinstance(cert, RetractCertificate)
+        assert (omega_h, omega_no) == (tree.omega[-1], 1)
         # every union leaf folds into the chain below it; join leaves stay
         assert no == NoRetract(
             "pruning fixpoint keeps vertices outside the pattern",
@@ -372,6 +376,35 @@ class TestArraySolver:
         assert [len(set(solver.glab)), len(set(solver.hlab))] == [1 + 2000, 1 + 2 + 2000]
         assert [solver.size[solver.glab[-1]], solver.size[solver.hlab[-1]]] == [2001, 2004]
         assert trees[0].omega[-1] == 1001 and trees[1].omega[-1] == 1002
+
+    def test_a_join_part_of_300_classes_needs_no_recursion(self):
+        # E_k is k isolated vertices; the host J(U(J(E_1..E_300), x),
+        # U(J(E_301..E_600), y)) against J(E_1..E_600): the first host
+        # cocomponent's part is E_1..E_300, 300 pattern classes of weight 1
+        def join_of_edgeless(tree, ids, sizes):
+            kids = []
+            for k in sizes:
+                leaves = tuple(next(ids) for _ in range(k))
+                kids.append(leaves[0] if k == 1 else tree.add(UNION, leaves))
+            return tree.add(JOIN, tuple(kids))
+
+        n = 600 * 601 // 2
+        host, ids = _Tree(n + 2), iter(range(n + 2))
+        halves = [
+            host.add(UNION, (join_of_edgeless(host, ids, range(lo, lo + 300)), next(ids)))
+            for lo in (1, 301)
+        ]
+        host.add(JOIN, tuple(halves))
+        pattern = _Tree(n)
+        join_of_edgeless(pattern, iter(range(n)), range(1, 601))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            solver = _CotreePairs(host, pattern)
+            plan = solver.decide(solver.glab[-1], solver.hlab[-1])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert plan == ((0, tuple(range(300))), (1, tuple(range(300, 600))))
 
 
 class TestDispatcher:
