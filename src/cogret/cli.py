@@ -206,14 +206,7 @@ def _solve_pair(
             h = _load_graph(h_path)
             report["inputs"]["h"] = _digest(h_path)
             if solver == "oracle":
-                from . import oracle as oracle_mod
-
-                result, route = oracle_mod.brute_retract(g, h, _oracle_budget()), solver
-                # the one solver that does not verify its own YES
-                if isinstance(result, RetractCertificate) and not verify_retract_certificate(
-                    g, h, result
-                ):
-                    raise CommandError("internal error: certificate failed verification")
+                result, route = _oracle_retract(g, h), solver
                 pg, ph = _PreparedGraph(g), _PreparedGraph(h)  # for the report's omegas
             else:
                 pg, ph = _PreparedGraph(g), _PreparedGraph(h)
@@ -357,14 +350,23 @@ def _oracle_budget() -> SearchBudget:
     return _budget_from_env() or oracle_mod.SearchBudget(max_vertices=12)
 
 
+def _oracle_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
+    """brute_retract under the oracle budget, its YES checked: it is the one
+    solver that does not verify its own certificate."""
+    from . import oracle as oracle_mod
+
+    result = oracle_mod.brute_retract(g, h, _oracle_budget())
+    if isinstance(result, RetractCertificate) and not verify_retract_certificate(g, h, result):
+        raise CommandError("internal error: certificate failed verification")
+    return result
+
+
 @cmd_oracle.command(name="retract")
 @click.argument("g_path")
 @click.argument("h_path")
 def cmd_oracle_retract(g_path, h_path) -> None:
-    from . import oracle as oracle_mod
-
     g, h = _load_graph(g_path), _load_graph(h_path)
-    result = oracle_mod.brute_retract(g, h, _oracle_budget())
+    result = _oracle_retract(g, h)
     report = {
         "command": "oracle retract",
         "inputs": {"g": _digest(g_path), "h": _digest(h_path)},

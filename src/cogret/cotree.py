@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Union
 
-from .graph_core import Graph
+from .graph_core import Graph, _split
 from .retract_threshold import UNIVERSAL, threshold_elimination
 
 UNION = "U"
@@ -160,33 +160,6 @@ def cotree_leaves(root: Cotree) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # recognition
-
-
-def _split(g: Graph, vs: tuple[int, ...], join: bool) -> list[tuple[int, ...]]:
-    """Components of g[vs], or of its complement when join is set, as
-    sorted tuples ordered by smallest vertex; vs must be sorted.  A part
-    grows by one C-level set operation per vertex it takes."""
-    adj = g.adjacency
-    unvisited = set(vs)
-    built = len(vs)
-    rest = iter(vs)
-    parts = []
-    while unvisited:
-        s = next(v for v in rest if v in unvisited)
-        unvisited.remove(s)
-        part, stack = [s], [s]
-        while stack and unvisited:  # depth first drains unvisited soonest
-            v = stack.pop()
-            found = unvisited - adj[v] if join else adj[v] & unvisited
-            if found:
-                unvisited -= found
-                part += found
-                stack += found
-                if 4 * len(unvisited) < built:
-                    unvisited = set(unvisited)
-                    built = len(unvisited)
-        parts.append(tuple(sorted(part)))
-    return parts
 
 
 def build_cotree(g: Graph) -> Cotree:
@@ -330,56 +303,31 @@ def _split_cotree(g: Graph) -> _Tree:
 def find_induced_p4(
     g: Graph, within: tuple[int, ...] | None = None
 ) -> tuple[int, int, int, int] | None:
-    """Find an induced P4 (returned in path order), or None if P4-free.
+    """Find an induced P4 of g, or of g[within], in path order; None if P4-free.
 
-    Scans induced P3s (center plus two nonadjacent neighbors) and tries
-    every fourth vertex; every P4 contains such a P3, so the scan is
-    complete.  Exits on the first hit.
+    A P4 is an induced P3 a-b-c (a and c not adjacent) and a vertex next
+    to exactly one end and not to b, so (N(a) ^ N(c)) - N(b) holds every
+    fourth vertex of a P3: one set expression each.  Centres b go in the
+    order of `within`, pairs a < c ascending, and d is the first fourth
+    vertex in that order; the path is read from its smaller end.
     """
     vs = within if within is not None else tuple(range(g.n))
-    inside = set(vs)
+    inside = frozenset(vs)
+    adj = g.adjacency
     for b in vs:
-        nbrs = sorted(u for u in g.adjacency[b] if u in inside)
+        nbrs = sorted(adj[b] & inside)
         for i, a in enumerate(nbrs):
+            near_a = adj[a]
             for c in nbrs[i + 1 :]:
-                if g.has_edge(a, c):
+                if c in near_a:
                     continue
-                for d in vs:
-                    if d in (a, b, c):
-                        continue
-                    path = _as_p4(g, (a, b, c, d))
-                    if path is not None:
-                        return path
+                fourth = (near_a ^ adj[c]) - adj[b]
+                if fourth.isdisjoint(inside):
+                    continue
+                d = next(v for v in vs if v in fourth)
+                path = (d, a, b, c) if d in near_a else (a, b, c, d)
+                return path if path[0] < path[3] else path[::-1]
     return None
-
-
-def _as_p4(g: Graph, quad: tuple[int, int, int, int]) -> tuple[int, int, int, int] | None:
-    inner = [
-        (u, v) for i, u in enumerate(quad) for v in quad[i + 1 :] if g.has_edge(u, v)
-    ]
-    if len(inner) != 3:
-        return None
-    deg = {v: 0 for v in quad}
-    for u, v in inner:
-        deg[u] += 1
-        deg[v] += 1
-    ends = [v for v in quad if deg[v] == 1]
-    if len(ends) != 2 or any(deg[v] != 2 for v in quad if v not in ends):
-        return None
-    # walk from one endpoint
-    adj = {v: [] for v in quad}
-    for u, v in inner:
-        adj[u].append(v)
-        adj[v].append(u)
-    path = [min(ends)]
-    prev = None
-    while len(path) < 4:
-        nxt = [u for u in adj[path[-1]] if u != prev]
-        if not nxt:
-            return None
-        prev = path[-1]
-        path.append(nxt[0])
-    return tuple(path)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -272,34 +272,41 @@ def _ones(row: bytearray, ids: tuple[int, ...]) -> frozenset[int]:
 
 def complement(g: Graph) -> Graph:
     """Edge set becomes exactly the non-edges; an involution."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if v not in g.adjacency[u]
-    ]
-    return Graph(g.n, edges)
+    every = frozenset(range(g.n))
+    return Graph._from_sets(g.n, [every - nbrs - {v} for v, nbrs in enumerate(g.adjacency)])
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components, each sorted ascending, listed by smallest member."""
-    seen = [False] * g.n
-    out: list[tuple[int, ...]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
+    return _split(g, tuple(range(g.n)), False)
+
+
+def _split(g: Graph, vs: tuple[int, ...], join: bool) -> list[tuple[int, ...]]:
+    """Components of g[vs], or of its complement when join is set, as
+    sorted tuples ordered by smallest vertex; vs must be sorted.  Serves
+    components and the cotree's split builder; a part grows by one C-level
+    set operation per vertex it takes."""
+    adj = g.adjacency
+    unvisited = set(vs)
+    built = len(vs)
+    rest = iter(vs)
+    parts = []
+    while unvisited:
+        s = next(v for v in rest if v in unvisited)
+        unvisited.remove(s)
+        part, stack = [s], [s]
+        while stack and unvisited:  # depth first drains unvisited soonest
             v = stack.pop()
-            for u in g.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    stack.append(u)
-        out.append(tuple(sorted(comp)))
-    return out
+            found = unvisited - adj[v] if join else adj[v] & unvisited
+            if found:
+                unvisited -= found
+                part += found
+                stack += found
+                if 4 * len(unvisited) < built:
+                    unvisited = set(unvisited)
+                    built = len(unvisited)
+        parts.append(tuple(sorted(part)))
+    return parts
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -51,6 +51,13 @@ def star(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def clique_with_pendant_p3(k: int) -> Graph:
+    """K_k on 0..k-1, k >= 1, and a path k-(k+1)-(k+2) hanging from vertex
+    k-1: the P4 scan tests every pair of neighbours of each clique vertex
+    before it reaches k-1, the first centre of an induced P3."""
+    return Graph(k + 3, list(K(k).edges()) + [(k - 1, k), (k, k + 1), (k + 1, k + 2)])
+
+
 P3 = path(3)
 P4 = path(4)
 C4 = cycle(4)
@@ -501,8 +508,9 @@ def _freeze_mutable(nd) -> Cotree:
 
 
 # ---------------------------------------------------------------------------
-# reference graph I/O: the straightforward per-edge implementations, kept as
-# the oracle for the differential tests of the set-based ones in cogret
+# reference graph I/O and graph facts: the straightforward per-edge and
+# per-vertex implementations, kept as the oracle for the differential tests
+# of the set-based ones in cogret
 
 
 def reference_parse_edge_list(text: str) -> Graph:
@@ -626,6 +634,91 @@ def reference_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ..
         if u < v and v in index
     ]
     return Graph(len(old), edges), old
+
+
+def reference_complement(g: Graph) -> Graph:
+    """complement from a list of every non-edge."""
+    edges = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if v not in g.adjacency[u]
+    ]
+    return Graph(g.n, edges)
+
+
+def reference_components(g: Graph) -> list[tuple[int, ...]]:
+    """components by a depth-first search that visits one vertex at a time."""
+    seen = [False] * g.n
+    out: list[tuple[int, ...]] = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = [s]
+        seen[s] = True
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for u in g.adjacency[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+                    stack.append(u)
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+def reference_find_induced_p4(
+    g: Graph, within: tuple[int, ...] | None = None
+) -> tuple[int, int, int, int] | None:
+    """find_induced_p4 trying every fourth vertex of every induced P3 in
+    turn and walking the four vertices' edges to see if they make a path."""
+    vs = within if within is not None else tuple(range(g.n))
+    inside = set(vs)
+    for b in vs:
+        nbrs = sorted(u for u in g.adjacency[b] if u in inside)
+        for i, a in enumerate(nbrs):
+            for c in nbrs[i + 1 :]:
+                if g.has_edge(a, c):
+                    continue
+                for d in vs:
+                    if d in (a, b, c):
+                        continue
+                    path = _reference_as_p4(g, (a, b, c, d))
+                    if path is not None:
+                        return path
+    return None
+
+
+def _reference_as_p4(
+    g: Graph, quad: tuple[int, int, int, int]
+) -> tuple[int, int, int, int] | None:
+    inner = [
+        (u, v) for i, u in enumerate(quad) for v in quad[i + 1 :] if g.has_edge(u, v)
+    ]
+    if len(inner) != 3:
+        return None
+    deg = {v: 0 for v in quad}
+    for u, v in inner:
+        deg[u] += 1
+        deg[v] += 1
+    ends = [v for v in quad if deg[v] == 1]
+    if len(ends) != 2 or any(deg[v] != 2 for v in quad if v not in ends):
+        return None
+    # walk from one endpoint
+    adj = {v: [] for v in quad}
+    for u, v in inner:
+        adj[u].append(v)
+        adj[v].append(u)
+    path = [min(ends)]
+    prev = None
+    while len(path) < 4:
+        nxt = [u for u in adj[path[-1]] if u != prev]
+        if not nxt:
+            return None
+        prev = path[-1]
+        path.append(nxt[0])
+    return tuple(path)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

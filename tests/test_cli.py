@@ -27,6 +27,7 @@ from cogret.cotree import (
 )
 from cogret.graph_core import (
     Graph,
+    RetractCertificate,
     format_edge_list,
     format_graph6,
     induced_subgraph,
@@ -48,6 +49,79 @@ from tests.helpers import (
     count_cotree_builds,
     count_cotree_facts,
     count_eliminations,
+)
+
+
+# the public names, listed here so that one dropped from cogret._SOURCES
+# fails a test instead of leaving __all__ silently
+_PUBLIC_NAMES = (
+    "AbsoluteVerdict",
+    "BipartiteInstance",
+    "BudgetExceededError",
+    "CompleteColoring",
+    "Cotree",
+    "EliminationOrder",
+    "FoldError",
+    "FoldSequence",
+    "Graph",
+    "GraphClass",
+    "Internal",
+    "Leaf",
+    "Matching",
+    "NoRetract",
+    "NotCographError",
+    "NotThresholdError",
+    "NotTriviallyPerfectError",
+    "ParseError",
+    "PartitionedInstance",
+    "RetractCertificate",
+    "SearchBudget",
+    "ThreePartitionInstance",
+    "apply_fold",
+    "brute_3partition",
+    "brute_achromatic",
+    "brute_chromatic",
+    "brute_clique",
+    "brute_folding_number",
+    "brute_hom",
+    "brute_retract",
+    "build_cotree",
+    "canonical_key",
+    "chromatic_number",
+    "classify",
+    "clique_number",
+    "complement",
+    "components",
+    "compose_certificates",
+    "cotree_to_graph",
+    "counterexample_embedding",
+    "encode",
+    "folding_number_universal",
+    "format_cotree",
+    "format_edge_list",
+    "format_graph6",
+    "fpt_retract",
+    "hom_exists",
+    "induced_subgraph",
+    "is_absolute_retract",
+    "is_homomorphism",
+    "max_matching",
+    "normalize",
+    "parse_cotree",
+    "parse_edge_list",
+    "parse_graph6",
+    "partitioned_retract",
+    "random_cograph",
+    "retract",
+    "saturates_right",
+    "threshold_elimination",
+    "threshold_folding_number",
+    "threshold_retract",
+    "tp_retract",
+    "universal_vertices",
+    "validate",
+    "verify_fold_sequence",
+    "verify_retract_certificate",
 )
 
 
@@ -528,6 +602,20 @@ class TestOtherCommands:
         code, report = run_json(runner, ["oracle", "chromatic", files["paw.el"]])
         assert report["value"] == 3
 
+    @pytest.mark.parametrize(
+        "command", [["oracle", "retract"], ["retract", "--solver", "oracle"]]
+    )
+    def test_oracle_yes_is_verified(self, runner, files, monkeypatch, command):
+        from cogret import oracle as oracle_module
+
+        def wrong(g, h, budget=None):  # maps every vertex to vertex 0
+            return RetractCertificate(rho=(0,) * g.n, gamma=(0,) * h.n)
+
+        monkeypatch.setattr(oracle_module, "brute_retract", wrong)
+        result = runner.invoke(main, command + [files["butterfly.ct"], files["k3.ct"]])
+        assert result.exit_code == 2, result.output
+        assert "internal error: certificate failed verification" in result.output
+
     def test_budget_env_var(self, runner, files, monkeypatch):
         monkeypatch.setenv("RETRACT_ORACLE_BUDGET", "4:100")
         result = runner.invoke(
@@ -567,3 +655,4 @@ class TestImports:
         assert set(cogret.__all__) <= set(dir(cogret))
         # every lazily resolved name is public, and no public name is missing
         assert sorted(cogret._SOURCE_OF) == sorted(cogret.__all__)
+        assert tuple(cogret.__all__) == _PUBLIC_NAMES

@@ -39,7 +39,14 @@ from cogret.cotree import (
     optimal_coloring,
     parse_cotree,
 )
-from cogret.graph_core import Graph, complement, induced_subgraph, random_cograph, relabel
+from cogret.graph_core import (
+    Graph,
+    complement,
+    components,
+    induced_subgraph,
+    random_cograph,
+    relabel,
+)
 from cogret.oracle import brute_clique, canonical_graph_key
 from cogret.retract_threshold import threshold_elimination
 
@@ -52,6 +59,7 @@ from tests.helpers import (
     TWO_K2,
     all_cographs,
     all_cotrees,
+    clique_with_pendant_p3,
     cotree_chain,
     cotree_shape,
     count_cotree_builds,
@@ -61,6 +69,9 @@ from tests.helpers import (
     random_threshold_graph,
     random_tp_graph,
     reference_build_cotree,
+    reference_complement,
+    reference_components,
+    reference_find_induced_p4,
     reference_optimal_coloring,
     sparse_random_threshold_graph,
 )
@@ -345,6 +356,28 @@ class TestWitnessExtraction:
             assert sub.m == 3
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
         assert found > 100  # most random graphs contain a P4
+
+    def test_set_built_facts_match_the_references(self):
+        """P4 witnesses, components and complements as the per-vertex
+        references give them, on every graph with n <= 5 and seeded random
+        graphs, each P4 scan with `within` unset, a sorted random subset and
+        that subset reversed."""
+        rng = random.Random("p4-differential")
+        graphs = [g for n in range(6) for g in _all_graphs(n)]
+        graphs += [
+            random_graph(n, seed, p)
+            for n in range(6, 61)
+            for p in (0.2, 0.5, 0.8)
+            for seed in range(3)
+        ]
+        for g in graphs:
+            assert components(g) == reference_components(g)
+            assert complement(g) == reference_complement(g)
+            subset = tuple(v for v in range(g.n) if rng.random() < 0.5)
+            for within in (None, subset, subset[::-1]):
+                assert find_induced_p4(g, within) == reference_find_induced_p4(g, within)
+        g = clique_with_pendant_p3(40)
+        assert find_induced_p4(g) == reference_find_induced_p4(g) == (0, 39, 40, 41)
 
 
 class TestCotreeToGraph:
