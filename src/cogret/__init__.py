@@ -39,10 +39,12 @@ _SOURCES = {
         "verify_fold_sequence",
     ),
     "graph_core": (
+        "BudgetExceededError",
         "Graph",
         "NoRetract",
         "ParseError",
         "RetractCertificate",
+        "SearchBudget",
         "complement",
         "components",
         "compose_certificates",
@@ -57,8 +59,6 @@ _SOURCES = {
     ),
     "matching": ("BipartiteInstance", "Matching", "max_matching", "saturates_right"),
     "oracle": (
-        "BudgetExceededError",
-        "SearchBudget",
         "brute_achromatic",
         "brute_chromatic",
         "brute_clique",

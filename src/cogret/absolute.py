@@ -132,7 +132,9 @@ def _counterexample(h: Graph, tree: _Tree) -> Graph:
 def _with_true_twin(tree: _Tree, v: int) -> _Tree:
     """tree with leaf tree.n added as a true twin of leaf v, which is not
     the root, normalized: right after v under a join parent, else joined
-    with v in a new node numbered just before v's parent."""
+    with v in a new node numbered just before v's parent.  Each node still
+    follows its children, but not always in left-to-right postorder: only
+    the partitioned pass reads this tree, and it needs no more."""
     n, twinned = tree.n, _Tree(tree.n + 1)
     p = next(u for u in range(n, len(tree.kind)) if v in tree.kids[u])
     i, split = tree.kids[p].index(v), tree.kind[p] != JOIN

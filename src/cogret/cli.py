@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import click
 
@@ -32,18 +31,17 @@ from .cotree import (
     parse_cotree,
 )
 from .graph_core import (
+    BudgetExceededError,
     Graph,
     NoRetract,
     ParseError,
     RetractCertificate,
+    SearchBudget,
     format_edge_list,
     parse_edge_list,
     parse_graph6,
     verify_retract_certificate,
 )
-
-if TYPE_CHECKING:
-    from .oracle import SearchBudget
 
 
 class CommandError(click.ClickException):
@@ -52,9 +50,11 @@ class CommandError(click.ClickException):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CommandError(f"{path} is not UTF-8 text: {exc}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -85,15 +85,11 @@ def _budget_from_env() -> SearchBudget | None:
     raw = os.environ.get("RETRACT_ORACLE_BUDGET")
     if not raw:
         return None
-    from . import oracle as oracle_mod
-
     try:
         if ":" in raw:
             verts, states = raw.split(":", 1)
-            return oracle_mod.SearchBudget(
-                max_vertices=int(verts), max_states=int(states)
-            )
-        return oracle_mod.SearchBudget(max_vertices=64, max_states=int(raw))
+            return SearchBudget(max_vertices=int(verts), max_states=int(states))
+        return SearchBudget(max_vertices=64, max_states=int(raw))
     except ValueError as exc:
         raise CommandError(f"bad RETRACT_ORACLE_BUDGET value {raw!r}: {exc}")
 
@@ -115,19 +111,15 @@ def _emit(report: dict, code: int) -> None:
 class _Main(click.Group):
     """The command group; an oracle search past its budget is an error, and
     so is an input too deep for a recursive solver, which must not exit 1,
-    the code for NO.  A budget error can only come from an imported oracle,
-    so the oracle is looked up, not imported, when a command ends."""
+    the code for NO."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except RecursionError as exc:
             raise CommandError(f"input too deep for the solver: {exc}")
-        except Exception as exc:
-            oracle_mod = sys.modules.get(f"{__package__}.oracle")
-            if oracle_mod is not None and isinstance(exc, oracle_mod.BudgetExceededError):
-                raise CommandError(str(exc))
-            raise
+        except BudgetExceededError as exc:
+            raise CommandError(str(exc))
 
 
 @click.group(cls=_Main)
@@ -158,6 +150,10 @@ def main() -> None:
 )
 def cmd_retract(g_path, h_path, solver, partitioned_path, batch_path) -> None:
     """Decide whether the graph in H_PATH is a retract of the one in G_PATH."""
+    if batch_path and (g_path or partitioned_path):
+        raise CommandError("--batch takes no G_PATH, H_PATH or --partitioned")
+    if partitioned_path and (h_path or solver != "auto"):
+        raise CommandError("--partitioned takes G_PATH alone, with no H_PATH or --solver")
     if batch_path:
         reports = []
         worst = 0
@@ -345,9 +341,7 @@ def cmd_oracle() -> None:
 
 
 def _oracle_budget() -> SearchBudget:
-    from . import oracle as oracle_mod
-
-    return _budget_from_env() or oracle_mod.SearchBudget(max_vertices=12)
+    return _budget_from_env() or SearchBudget(max_vertices=12)
 
 
 def _oracle_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:

@@ -58,9 +58,11 @@ _LEAF = "L"  # the kind of a leaf in a _Tree
 
 class _Tree:
     """A cotree as arrays.  Nodes 0..n-1 are the leaves, node v being
-    vertex v; the internal nodes follow, each after its children, so the
-    root is the last node.  kind[v] is _LEAF, UNION or JOIN and kids[v]
-    the children left to right, empty at a leaf."""
+    vertex v; the internal nodes follow in left-to-right postorder, so the
+    root is last and readers loop over range(n, len(kind)), with no walk
+    (absolute._with_true_twin only keeps each node after its children).
+    kind[v] is _LEAF, UNION or JOIN and kids[v] the children left to
+    right, empty at a leaf."""
 
     def __init__(self, n: int):
         self.n, self.kind, self.kids = n, [_LEAF] * n, [()] * n
@@ -168,7 +170,8 @@ def build_cotree(g: Graph) -> Cotree:
     A trivially perfect graph reads its cotree off its rooted-forest model
     in O(n + m) (_forest_cotree).  Any other graph, a cograph with an
     induced C4 or a non-cograph, goes to the split builder.  Children are
-    ordered by smallest contained vertex, so both give the same tree.
+    ordered by smallest contained vertex and internal nodes numbered in
+    left-to-right postorder, so both give the same arrays.
     """
     return _objects(_classed_cotree(g)[0])
 
@@ -202,7 +205,7 @@ def _forest_cotree(g: Graph) -> _Tree | None:
     all of them, and g is the forest's closure: the test is exact.  A
     vertex with children is the join of itself with the union of their
     subtrees; a vertex with one child is its true twin and joins the
-    child's join.
+    child's join.  Nodes are numbered as the split builder numbers them.
     """
     adj = g.adjacency
     neg = [-len(a) for a in adj]
@@ -229,41 +232,43 @@ def _forest_cotree(g: Graph) -> _Tree | None:
             return None
         children[p].append(v)
 
-    # bottom-up: v's subtree is the join of its chain of true twins with
-    # the union node under the chain, if any (else -1); low is its
-    # smallest vertex and ulow the union's
-    tree = _Tree(g.n)
-    chain: list[list[int]] = [[] for _ in order]
-    under = [-1] * g.n
-    low = [0] * g.n
-    ulow = [0] * g.n
-
-    def finished(v: int) -> int:
-        twins = sorted(chain[v])
-        if under[v] >= 0:
-            twins.insert(bisect_left(twins, ulow[v]), under[v])
-        return twins[0] if len(twins) == 1 else tree.add(JOIN, tuple(twins))
-
+    # low[v] is the smallest vertex of v's forest subtree; children go in
+    # low order, as the split builder orders its parts
+    low = list(range(g.n))
     for v in reversed(order):  # children come after their parent in order
         kids = children[v]
-        if len(kids) == 1:
-            (c,) = kids
-            chain[v] = chain[c]
-            chain[v].append(v)
-            under[v], ulow[v], low[v] = under[c], ulow[c], min(low[c], v)
-            continue
-        chain[v].append(v)
-        low[v] = v
         if kids:
             kids.sort(key=low.__getitem__)
-            under[v] = tree.add(UNION, tuple(map(finished, kids)))
-            ulow[v] = low[kids[0]]
-            low[v] = min(ulow[v], v)
-    if len(roots) == 1:
-        finished(roots[0])
-    else:
-        roots.sort(key=low.__getitem__)
-        tree.add(UNION, tuple(map(finished, roots)))
+            low[v] = min(v, low[kids[0]])
+
+    # one walk from the roots, numbering each node when its subtree is
+    # done: a frame is a chain of true twins (none for the roots), the
+    # children of its last vertex and the nodes built for them so far
+    roots.sort(key=low.__getitem__)
+    tree = _Tree(g.n)
+    stack = [([], iter(roots), [])]
+    while stack:
+        twins, rest, built = stack[-1]
+        for v in rest:
+            chain = [v]
+            while len(children[v]) == 1:
+                (v,) = children[v]
+                chain.append(v)
+            if children[v]:
+                stack.append((chain, iter(children[v]), []))
+                break
+            chain.sort()
+            built.append(chain[0] if len(chain) == 1 else tree.add(JOIN, tuple(chain)))
+        else:
+            stack.pop()
+            node = built[0] if len(built) == 1 else tree.add(UNION, tuple(built))
+            if twins:
+                at = low[children[twins[-1]][0]]
+                twins.sort()
+                twins.insert(bisect_left(twins, at), node)
+                node = tree.add(JOIN, tuple(twins))
+            if stack:
+                stack[-1][2].append(node)
     return tree
 
 
@@ -551,7 +556,7 @@ def _witness(tree: _Tree, name: str) -> tuple[str, tuple[int, int, int, int]]:
     """
     n, kinds, kids = tree.n, tree.kind, tree.kids
     kind = JOIN if name == COGRAPH else UNION
-    for v in _subtree(tree, tree.root):
+    for v in range(n, len(kinds)):
         if kinds[v] != kind:
             continue
         inner = [c for c in kids[v] if c >= n]

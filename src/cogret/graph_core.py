@@ -115,6 +115,29 @@ class NoRetract:
     detail: tuple = ()
 
 
+class BudgetExceededError(RuntimeError):
+    """A search ran past its budget; the caller gets no silent wrong answer."""
+
+
+@dataclass(frozen=True)
+class SearchBudget:
+    """Caps for the exhaustive searches.
+
+    max_vertices bounds the input size, max_states the number of expanded
+    search nodes, max_seconds the wall clock (None = uncapped).
+    """
+
+    max_vertices: int = 8
+    max_states: int = 10_000_000
+    max_seconds: float | None = None
+
+    def __post_init__(self):
+        if self.max_vertices <= 0 or self.max_states <= 0:
+            raise ValueError("budget caps must be positive")
+        if self.max_seconds is not None and self.max_seconds <= 0:
+            raise ValueError("wall-clock cap must be positive")
+
+
 # ---------------------------------------------------------------------------
 # parsing / serialization
 

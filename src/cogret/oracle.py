@@ -13,41 +13,18 @@ the folding number and `brute_folds_onto`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations
 
 from .folding import CompleteColoring, FoldSequence, apply_fold
 from .graph_core import (
+    BudgetExceededError,
     Graph,
     NoRetract,
     RetractCertificate,
+    SearchBudget,
     components,
     induced_subgraph,
 )
-
-
-class BudgetExceededError(RuntimeError):
-    """A search ran past its budget; the caller gets no silent wrong answer."""
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caps for the exhaustive searches.
-
-    max_vertices bounds the input size, max_states the number of expanded
-    search nodes, max_seconds the wall clock (None = uncapped).
-    """
-
-    max_vertices: int = 8
-    max_states: int = 10_000_000
-    max_seconds: float | None = None
-
-    def __post_init__(self):
-        if self.max_vertices <= 0 or self.max_states <= 0:
-            raise ValueError("budget caps must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("wall-clock cap must be positive")
-
 
 DEFAULT_RETRACT_BUDGET = SearchBudget(max_vertices=8)
 DEFAULT_FOLDING_BUDGET = SearchBudget(max_vertices=8)

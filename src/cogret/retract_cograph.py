@@ -60,7 +60,6 @@ from .cotree import (
     _arrays,
     _classed_cotree,
     _omegas,
-    _subtree,
     _walk_down,
 )
 from .graph_core import (
@@ -235,15 +234,14 @@ class _CotreePairs:
         self.glab, self.hlab = self._label(self.g), self._label(self.h)  # per node
 
     def _label(self, tree: _Tree) -> list[int]:
-        """Label every node of tree, interning in left-to-right postorder,
-        and set the tree's clique numbers from the labels."""
+        """Label every node of tree, interning in node order (left-to-right
+        postorder), and set the tree's clique numbers from the labels."""
         index, kind, kids = self.index, tree.kind, tree.kids
         labels = [0] * len(kind)  # every leaf has label 0
-        for v in _subtree(tree, tree.root):
-            if kids[v]:
-                key = (kind[v], tuple(sorted(map(labels.__getitem__, kids[v]))))
-                got = index.get(key)
-                labels[v] = self.intern(*key) if got is None else got
+        for v in range(tree.n, len(kind)):
+            key = (kind[v], tuple(sorted(map(labels.__getitem__, kids[v]))))
+            got = index.get(key)
+            labels[v] = self.intern(*key) if got is None else got
         tree.omega = list(map(self.omega.__getitem__, labels))
         return labels
 

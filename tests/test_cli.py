@@ -346,6 +346,48 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "args",
         [
+            ["classify", "@bin.el"],
+            ["oracle", "folding", "@bin.el"],
+            ["retract", "@k3.ct", "@bin.g6"],
+            ["retract", "--batch", "@bin.txt"],
+            ["retract", "@k3.ct", "--partitioned", "@bin.txt"],
+            ["reduce3p", "@bin.txt", "@out"],
+        ],
+        ids=["graph", "oracle-graph", "pattern-graph", "batch", "partitioned-ids", "instance"],
+    )
+    def test_non_utf8_file_exit_2(self, runner, files, args):
+        for name in ("bin.el", "bin.g6", "bin.txt"):
+            (Path(files["dir"]) / name).write_bytes(b"\xff\xfe\n")
+        args = [str(Path(files["dir"]) / a[1:]) if a.startswith("@") else a for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and "bin." in result.output and "UTF-8" in result.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["retract", "@k3.ct", "@k3.ct", "--batch", "@manifest.txt"], "--batch"),
+            (["retract", "@k3.ct", "--batch", "@manifest.txt"], "--batch"),
+            (["retract", "--batch", "@manifest.txt", "--partitioned", "@hset.txt"], "--batch"),
+            (["retract", "@k3.ct", "@k3.ct", "--partitioned", "@hset.txt"], "--partitioned"),
+            (["retract", "@k3.ct", "--partitioned", "@hset.txt", "--solver", "fpt"], "--partitioned"),
+        ],
+        ids=["batch-with-g-h", "batch-with-g", "batch-with-partitioned",
+             "partitioned-with-h", "partitioned-with-solver"],
+    )
+    def test_conflicting_retract_arguments_exit_2(self, runner, files, args, message):
+        manifest = Path(files["dir"]) / "manifest.txt"
+        manifest.write_text(f"{files['k3.ct']} {files['k3.ct']}\n")
+        args = [str(Path(files["dir"]) / a[1:]) if a.startswith("@") else a for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and message in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ["absolute", "@paw.el", "--out", "@no_such_dir/x.el"],
             ["reduce3p", "@inst.txt", "@no_such_dir/pre"],
         ],
@@ -656,3 +698,10 @@ class TestImports:
         # every lazily resolved name is public, and no public name is missing
         assert sorted(cogret._SOURCE_OF) == sorted(cogret.__all__)
         assert tuple(cogret.__all__) == _PUBLIC_NAMES
+
+    def test_budget_types_live_with_the_results(self):
+        from cogret import graph_core, oracle
+
+        for name in ("BudgetExceededError", "SearchBudget"):
+            assert cogret._SOURCE_OF[name] == "graph_core"
+            assert getattr(cogret, name) is getattr(oracle, name) is getattr(graph_core, name)

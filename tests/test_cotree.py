@@ -25,6 +25,7 @@ from cogret.cotree import (
     _objects,
     _omegas,
     _split_cotree,
+    _subtree,
     build_cotree,
     canonical_key,
     chromatic_number,
@@ -74,6 +75,7 @@ from tests.helpers import (
     reference_find_induced_p4,
     reference_optimal_coloring,
     sparse_random_threshold_graph,
+    universal_isolated_chain,
 )
 
 
@@ -231,10 +233,23 @@ class TestForestPass:
             for seed in range(20)
             for make in (random_threshold_graph, sparse_random_threshold_graph)
         ]
+        graphs += [g for n in range(1, 7) for g in all_cographs(n) if _forest_cotree(g)]
+        graphs += [cotree_to_graph(cotree_chain(k)) for k in (500, 2000)]
+        graphs.append(universal_isolated_chain(TWO_K2, 2000))
         for g in graphs:
-            forest = _forest_cotree(g)
+            forest, split = _forest_cotree(g), _split_cotree(g)
             assert forest is not None
-            assert _objects(forest) == _objects(_split_cotree(g))
+            # the same arrays, node numbers included, not just the same tree
+            assert forest.kind == split.kind and forest.kids == split.kids
+            for tree in (forest, split, _arrays(build_cotree(g))):
+                _check_postorder(tree)
+
+    def test_split_builder_numbers_in_postorder(self):
+        graphs = [g for n in range(1, 7) for g in all_cographs(n)]
+        graphs += [random_cograph(n, seed) for n in (50, 300) for seed in range(5)]
+        for g in graphs:
+            _check_postorder(_split_cotree(g))
+            _check_postorder(_arrays(build_cotree(g)))
 
     def test_accepts_exactly_the_trivially_perfect_graphs(self):
         graphs = [g for n in range(1, 6) for g in _all_graphs(n)]
@@ -277,6 +292,12 @@ class TestForestPass:
             with pytest.raises(NotCographError) as split:
                 _split_cotree(g)
             assert built.value.witness == split.value.witness
+
+
+def _check_postorder(tree) -> None:
+    """The internal nodes are numbered in left-to-right postorder."""
+    inner = [v for v in _subtree(tree, tree.root) if v >= tree.n]
+    assert inner == list(range(tree.n, len(tree.kind)))
 
 
 def _check_arrays(tree, n: int) -> None:
