@@ -110,8 +110,8 @@ def _emit(report: dict, code: int) -> None:
 
 class _Main(click.Group):
     """The command group; an oracle search past its budget is an error, and
-    so is an input too deep for a recursive solver, which must not exit 1,
-    the code for NO."""
+    so are an input too deep for a recursive solver and a solver whose own
+    certificate check fails, none of which may exit 1, the code for NO."""
 
     def invoke(self, ctx):
         try:
@@ -120,6 +120,8 @@ class _Main(click.Group):
             raise CommandError(f"input too deep for the solver: {exc}")
         except BudgetExceededError as exc:
             raise CommandError(str(exc))
+        except AssertionError as exc:
+            raise CommandError(f"internal error: {exc}")
 
 
 @click.group(cls=_Main)

@@ -11,18 +11,28 @@ The retract solver reads nothing else: it walks the two graphs'
 elimination orders side by side.  What remains of a graph after some
 steps is what the rest of its order eliminates, so the order answers
 every question the solver asks of a residue.
+
+It checks its YES on the orders too, exactly and in O(n_g + n_h), and
+first proves each order against its graph's degrees: the steps must be a
+permutation of the vertices, and the vertex at step i must have as many
+neighbours as there are universal steps before i, plus n - 1 - i if it
+is universal itself.  That labelled degree sequence has one realization:
+the first step's vertex is adjacent to all or none of the others, and
+removing it leaves the same form on the rest.  So u ~ v exactly when the
+one removed first is universal.  A map is then a homomorphism exactly
+when every universal step's image lies outside, and is adjacent to, the
+image of every later step, which one pass over the source order from its
+last step tests in O(1) per step, keeping three facts about the image so
+far.  verify_retract_certificate, which checks edge by edge in O(n + m),
+stays the check for every other caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 
-from .graph_core import (
-    Graph,
-    NoRetract,
-    RetractCertificate,
-    verify_retract_certificate,
-)
+from .graph_core import Graph, NoRetract, RetractCertificate
 
 ISOLATED = "isolated"
 UNIVERSAL = "universal"
@@ -99,7 +109,9 @@ def _solve_threshold(
     The residues are what the unconsumed steps eliminate: one is
     disconnected when its next step is isolated, its isolated vertices are
     the run of isolated steps there, and it has an edge while a universal
-    step remains.
+    step remains.  A YES is checked exactly by _certified on the same two
+    orders: it proves each against its graph's degree sequence, which then
+    fixes the graph, and tests rho and gamma in one backward pass each.
     """
     gs, hs = og.steps, oh.steps
     rho = [-1] * g.n
@@ -179,9 +191,86 @@ def _solve_threshold(
         j += b
 
     cert = RetractCertificate(rho=tuple(rho), gamma=tuple(gamma))
-    if not verify_retract_certificate(g, h, cert):
+    if not _certified(g, h, og, oh, cert):
         raise AssertionError("threshold solver produced an invalid certificate")
     return cert
+
+
+def _certified(
+    g: Graph, h: Graph, og: EliminationOrder, oh: EliminationOrder, cert: RetractCertificate
+) -> bool:
+    """verify_retract_certificate in O(n_g + n_h): the same lengths, ranges
+    and rho . gamma = id, with both homomorphisms read off the elimination
+    orders once _eliminates has proved each against its graph."""
+    rho, gamma = cert.rho, cert.gamma
+    if len(rho) != g.n or len(gamma) != h.n:
+        return False
+    if rho and not (0 <= min(rho) and max(rho) < h.n):
+        return False
+    if gamma and not (0 <= min(gamma) and max(gamma) < g.n):
+        return False
+    if not (_eliminates(g, og) and _eliminates(h, oh)):
+        return False
+    if not (_maps_edges(og.steps, oh.steps, rho) and _maps_edges(oh.steps, og.steps, gamma)):
+        return False
+    return all(map(eq, map(rho.__getitem__, gamma), range(h.n)))
+
+
+def _eliminates(g: Graph, order: EliminationOrder) -> bool:
+    """Whether order eliminates g, read off g's degrees alone: a
+    permutation of the vertices whose step-i vertex has the universal steps
+    before i, and if universal the n - 1 - i later ones, as neighbours.
+    The module docstring gives why these degrees fix the graph."""
+    steps, n = order.steps, g.n
+    if len(steps) != n or {v for v, _ in steps} != set(range(n)):
+        return False
+    adjacency = g.adjacency
+    # a universal step's degree: the universal steps before it and every
+    # step after it, which only an isolated step lowers
+    universals, reach = 0, n - 1
+    for v, tag in steps:
+        degree = len(adjacency[v])
+        if tag == UNIVERSAL and degree == reach:
+            universals += 1
+        elif tag == ISOLATED and degree == universals:
+            reach -= 1
+        else:
+            return False
+    return True
+
+
+def _maps_edges(
+    src: tuple[tuple[int, str], ...], dst: tuple[tuple[int, str], ...], phi: tuple[int, ...]
+) -> bool:
+    """Whether phi maps every edge of the graph src eliminates onto an edge
+    of the graph dst eliminates, in one pass over src from its last step.
+
+    A universal step's image x must not be an image of a later step, and
+    must be adjacent to all of those images: none of them is isolated and
+    removed before x, and if x is isolated none is removed after it.  So
+    the pass keeps, for the steps walked so far, which vertices are images,
+    the latest dst step among them and the earliest isolated one.
+    """
+    step_of = [0] * len(dst)
+    isolated = [False] * len(dst)
+    for k, (y, tag) in enumerate(dst):
+        step_of[y] = k
+        isolated[y] = tag == ISOLATED
+    image = [False] * len(dst)
+    latest, earliest_isolated = -1, len(dst)
+    for u, tag in reversed(src):
+        x = phi[u]
+        k = step_of[x]
+        if tag == UNIVERSAL and (
+            image[x] or earliest_isolated < k or (isolated[x] and latest > k)
+        ):
+            return False
+        image[x] = True
+        if k > latest:
+            latest = k
+        if isolated[x] and k < earliest_isolated:
+            earliest_isolated = k
+    return True
 
 
 def _isolated_run(steps: tuple[tuple[int, str], ...], start: int) -> list[int]:

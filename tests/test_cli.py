@@ -658,6 +658,29 @@ class TestOtherCommands:
         assert result.exit_code == 2, result.output
         assert "internal error: certificate failed verification" in result.output
 
+    @pytest.mark.parametrize(
+        "form, solver",
+        [("retract", "threshold"), ("batch", "threshold"), ("partitioned", "partitioned")],
+    )
+    def test_failed_solver_check_is_an_internal_error(
+        self, runner, files, monkeypatch, tmp_path, form, solver
+    ):
+        from cogret import retract_threshold
+
+        monkeypatch.setattr(retract_threshold, "_certified", lambda *args: False)
+        monkeypatch.setattr(retract_cograph, "verify_retract_certificate", lambda *args: False)
+        pair = [files["paw.el"], files["k3.ct"]]  # a threshold YES pair
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(" ".join(pair) + "\n")
+        args = {
+            "retract": pair,
+            "batch": ["--batch", str(manifest)],
+            "partitioned": [files["butterfly.ct"], "--partitioned", files["hset.txt"]],
+        }[form]
+        result = runner.invoke(main, ["retract", *args])
+        assert result.exit_code == 2, result.output
+        assert f"Error: internal error: {solver} solver produced an invalid certificate" in result.output
+
     def test_budget_env_var(self, runner, files, monkeypatch):
         monkeypatch.setenv("RETRACT_ORACLE_BUDGET", "4:100")
         result = runner.invoke(
