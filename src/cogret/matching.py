@@ -6,10 +6,10 @@ component by bipartite matching; the instance is always bipartite, so
 general matching machinery is unnecessary and the O(E sqrt(V)) bound is
 kept.  Processing order is fixed so results are deterministic.
 
-One private core, `_hopcroft_karp`, runs on a plain edge list in (left,
-right) order: the solver calls it on the edges it builds in that order,
-and `max_matching` calls it after `BipartiteInstance` has validated the
-edges and they are sorted.
+`max_matching` runs the private core `_hopcroft_karp` on the validated
+edges, sorted.  The solver runs the first phase itself, deciding pairs
+only as the phase reads them, and calls `_augment`, the later phases, on
+the matching that phase leaves when it falls short.
 """
 
 from __future__ import annotations

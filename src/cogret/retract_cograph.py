@@ -19,17 +19,21 @@ give each host cocomponent a multiset of pattern cocomponents with the
 same clique-number sum, trying isomorphic host cocomponents in
 non-increasing order only.  One iterative search writes each multiset as
 a nondecreasing run of class indices and tries the runs in lexicographic
-order, with no recursion per class or per host.  A connected pattern at
-a union takes the first host component that retracts onto it, as the
-matching would; other unions run the matching module's private
-Hopcroft-Karp core on the edge list the solver builds.  Labels
-interned during the search, for joins of pattern cocomponents, serve
-only as memo keys: every sort key reads labels fixed at construction.
+order, with no recursion per class or per host.  A union runs the first
+Hopcroft-Karp phase as it decides pairs: each host component takes the
+first free pattern component that retracts out of it, so a pair whose
+pattern component is already taken is never decided.  Only when that
+phase leaves a pattern component free are the other pairs decided, and
+then a free one with no partner at all is a deficit at once, before the
+matching module's later phases run.  Labels interned during the search,
+for joins of pattern cocomponents, serve only as memo keys: every sort
+key reads labels fixed at construction.
 
 Both cotrees come as arrays (cotree._Tree): one loop per cotree interns
 its labels in left-to-right postorder, host first, and gives every node
 its clique number.  A pattern side that joins several cocomponents has
-no node of its own, so certify takes it as a tuple of node ids.
+no node of its own, so certify takes it as a tuple of node ids.  Only
+decide recurses, once per cotree level; certify works off a stack.
 
 Every label also carries its vertex count and independence number (sums
 over a union's children; at a join the count is the sum and the
@@ -69,7 +73,7 @@ from .graph_core import (
     induced_subgraph,
     verify_retract_certificate,
 )
-from .matching import _hopcroft_karp
+from .matching import _INF, _augment
 from .retract_threshold import NotThresholdError, _solve_threshold
 
 
@@ -308,34 +312,62 @@ class _CotreePairs:
         number, so a pair whose pattern has another clique number, more
         vertices or a larger independence number than its host is no edge
         of the matching and is not decided.  Only a pair's YES or NO counts
-        here, so no reported reason changes.  A connected pattern is one
-        component, and the matching would take the first host component it
-        has an edge to, so host components are decided in order up to the
-        first YES."""
+        here, so no reported reason changes.
+
+        The first Hopcroft-Karp phase runs as the pairs are decided: each
+        host component in turn takes its first free pattern component that
+        retracts out of it, so only pairs whose pattern side is still free
+        are decided, and the phase stops once every pattern component is
+        taken.  Should it fall short, a free pattern component that no
+        host component retracts onto is a deficit at once; otherwise every
+        pair is decided and the later phases augment the matching."""
         gcomps = self.kids[a]
         hcomps = self.kids[b] if self.kind[b] == UNION else (b,)
         p, q = len(gcomps), len(hcomps)
         if q > p:
             return "matching-deficit"
         omega, size, alpha = self.omega, self.size, self.alpha
-        edges = []  # in (i, j) order
-        for i in range(p):  # a loop, not a generator: one stack frame per level
+        pair_left, pair_right = [_INF] * p, [_INF] * q
+        matched = 0
+        for i in range(p):  # loops, not generators: one stack frame per level
             x = gcomps[i]
             for j in range(q):
                 y = hcomps[j]
                 if (
-                    omega[y] == omega[x]
+                    pair_right[j] == _INF
+                    and omega[y] == omega[x]
                     and size[y] <= size[x]
                     and alpha[y] <= alpha[x]
                     and not isinstance(self.decide(x, y), str)
                 ):
-                    if q == 1:  # the matching takes the first edge
-                        return ((i, (0,)),)
-                    edges.append((i, j))
-        pairs = _hopcroft_karp(p, q, edges)
-        if len(pairs) < q:
-            return "matching-deficit"
-        return tuple((i, (j,)) for i, j in pairs)
+                    pair_left[i], pair_right[j] = j, i
+                    matched += 1
+                    break
+            if matched == q:
+                break
+        if matched < q:  # the first phase fell short
+            adj: list[list[int]] = [[] for _ in range(p)]
+            for j in sorted(range(q), key=pair_right.__getitem__):  # free ones first
+                y = hcomps[j]
+                seen = pair_right[j] != _INF
+                for i in range(p):
+                    x = gcomps[i]
+                    if (
+                        omega[y] == omega[x]
+                        and size[y] <= size[x]
+                        and alpha[y] <= alpha[x]
+                        and not isinstance(self.decide(x, y), str)
+                    ):
+                        adj[i].append(j)
+                        seen = True
+                if not seen:
+                    return "matching-deficit"
+            for row in adj:
+                row.sort()
+            _augment(adj, pair_left, pair_right)
+            if _INF in pair_right:
+                return "matching-deficit"
+        return tuple((i, (pair_left[i],)) for i in range(p) if pair_left[i] != _INF)
 
     def _decide_join(self, a: int, b: int) -> str | _Plan:
         """Give each host cocomponent a nonempty multiset of pattern
@@ -452,37 +484,45 @@ class _CotreePairs:
 
     def certify(self, x: int, ys: tuple[int, ...], b: int, rho: dict, gamma: dict) -> None:
         """Add the maps of a YES pair to rho and gamma: host node x and the
-        pattern side ys, the join of these pattern nodes, with label b."""
-        g, h, glab, hlab = self.g, self.h, self.glab, self.hlab
-        if x < g.n:  # a single vertex retracts onto itself only
-            (y,) = ys
-            rho[x], gamma[y] = y, x
-            return
-        a = glab[x]
-        if self.omega[b] == self.size[b]:
-            self._clique_maps(x, ys, rho, gamma)
-            return
-        if a == b:
-            self._iso_maps(x, ys, rho, gamma)
-            return
-        plan = self.memo[(a, b)]
-        assert not isinstance(plan, str), "certify called on a NO pair"
-        gkids = sorted(g.kids[x], key=glab.__getitem__)
-        if self.kind[a] == UNION and self.kind[b] != UNION:
-            hkids, hlabels = [ys], [b]
-        else:
-            hk = sorted(h.kids[ys[0]] if len(ys) == 1 else ys, key=hlab.__getitem__)
-            hkids, hlabels = [(y,) for y in hk], [hlab[y] for y in hk]
-        for i, js in plan:
-            sub = tuple(y for j in js for y in hkids[j])
-            self.certify(gkids[i], sub, self.joined([hlabels[j] for j in js]), rho, gamma)
-        if len(plan) < len(gkids):  # host components left over at a union
-            widest = max(range(len(hkids)), key=lambda j: self.omega[hlabels[j]])
-            clique = sorted(_walk_down(h, hkids[widest])[1])
-            matched = {i for i, _ in plan}
-            for i, comp in enumerate(gkids):
-                if i not in matched:
-                    rho.update((v, clique[c]) for v, c in _walk_down(g, (comp,))[0].items())
+        pattern side ys, the join of these pattern nodes, with label b.
+
+        One loop over a stack of such pairs, each plan's pairs pushed in
+        its place, so no cotree depth can exhaust the recursion limit.
+        The pairs on the stack have disjoint sides, so every vertex is
+        written once."""
+        g, h, glab, hlab, omega = self.g, self.h, self.glab, self.hlab, self.omega
+        tasks = [(x, ys, b)]
+        while tasks:
+            x, ys, b = tasks.pop()
+            if x < g.n:  # a single vertex retracts onto itself only
+                (y,) = ys
+                rho[x], gamma[y] = y, x
+                continue
+            a = glab[x]
+            if omega[b] == self.size[b]:
+                self._clique_maps(x, ys, rho, gamma)
+                continue
+            if a == b:
+                self._iso_maps(x, ys, rho, gamma)
+                continue
+            plan = self.memo[(a, b)]
+            assert not isinstance(plan, str), "certify called on a NO pair"
+            gkids = sorted(g.kids[x], key=glab.__getitem__)
+            if self.kind[a] == UNION and self.kind[b] != UNION:
+                hkids, hlabels = [ys], [b]
+            else:
+                hk = sorted(h.kids[ys[0]] if len(ys) == 1 else ys, key=hlab.__getitem__)
+                hkids, hlabels = [(y,) for y in hk], [hlab[y] for y in hk]
+            for i, js in plan:
+                sub = tuple(y for j in js for y in hkids[j])
+                tasks.append((gkids[i], sub, self.joined([hlabels[j] for j in js])))
+            if len(plan) < len(gkids):  # host components left over at a union
+                widest = max(range(len(hkids)), key=lambda j: omega[hlabels[j]])
+                clique = sorted(_walk_down(h, hkids[widest])[1])
+                matched = {i for i, _ in plan}
+                for i, comp in enumerate(gkids):
+                    if i not in matched:
+                        rho.update((v, clique[c]) for v, c in _walk_down(g, (comp,))[0].items())
 
     def _clique_maps(self, x: int, ys: tuple[int, ...], rho: dict, gamma: dict) -> None:
         """Maps onto a clique pattern with the host's clique number: the

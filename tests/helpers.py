@@ -27,7 +27,13 @@ from cogret.cotree import (
     find_induced_p4,
 )
 from cogret.graph_core import Graph, ParseError, _random_composition, relabel
-from cogret.matching import BipartiteInstance, Matching, max_matching, saturates_right
+from cogret.matching import (
+    BipartiteInstance,
+    Matching,
+    _hopcroft_karp,
+    max_matching,
+    saturates_right,
+)
 from cogret.retract_threshold import ISOLATED, UNIVERSAL, EliminationOrder
 
 
@@ -848,6 +854,73 @@ class ReferenceCotreePairs(cograph_module._CotreePairs):
         return tuple((i, (j,)) for i, j in matching.pairs)
 
 
+class EagerCotreePairs(cograph_module._CotreePairs):
+    """_CotreePairs whose union step decides every pair that passes the
+    clique-number, vertex-count and independence-number tests before it
+    runs the matching on the edges found: the reference for the solver's
+    union step, which decides pairs only as the matching reads them."""
+
+    def _decide_components(self, a: int, b: int):
+        gcomps = self.kids[a]
+        hcomps = self.kids[b] if self.kind[b] == UNION else (b,)
+        p, q = len(gcomps), len(hcomps)
+        if q > p:
+            return "matching-deficit"
+        omega, size, alpha = self.omega, self.size, self.alpha
+        edges = []  # in (i, j) order
+        for i in range(p):  # a loop, not a generator: one stack frame per level
+            x = gcomps[i]
+            for j in range(q):
+                y = hcomps[j]
+                if (
+                    omega[y] == omega[x]
+                    and size[y] <= size[x]
+                    and alpha[y] <= alpha[x]
+                    and not isinstance(self.decide(x, y), str)
+                ):
+                    if q == 1:  # the matching takes the first edge
+                        return ((i, (0,)),)
+                    edges.append((i, j))
+        pairs = _hopcroft_karp(p, q, edges)
+        if len(pairs) < q:
+            return "matching-deficit"
+        return tuple((i, (j,)) for i, j in pairs)
+
+
+def logged(solver_class):
+    """solver_class with every decide call, memo hits included, recorded
+    in order in its calls list."""
+
+    class Logged(solver_class):
+        def __init__(self, tg, th):
+            self.calls: list[tuple[int, int]] = []
+            super().__init__(tg, th)
+
+        def decide(self, a, b):
+            self.calls.append((a, b))
+            return super().decide(a, b)
+
+    return Logged
+
+
+def solve_on(solver_class, g: Graph, h: Graph, tg, th):
+    """cotree_pair_retract run on solver_class: its result and the solver."""
+    made = []
+
+    class Kept(solver_class):
+        def __init__(self, tg, th):
+            super().__init__(tg, th)
+            made.append(self)
+
+    solver = cograph_module._CotreePairs
+    cograph_module._CotreePairs = Kept
+    try:
+        result = cograph_module.cotree_pair_retract(g, h, tg, th)
+    finally:
+        cograph_module._CotreePairs = solver
+    return result, made[0]
+
+
 _Counts = tuple[int, ...]  # a multiset of pattern cocomponents, counted per class
 
 
@@ -946,12 +1019,7 @@ class MultisetCotreePairs(cograph_module._CotreePairs):
 
 def reference_cotree_pair_retract(g: Graph, h: Graph, tg: Cotree, th: Cotree):
     """cotree_pair_retract run on ReferenceCotreePairs."""
-    solver = cograph_module._CotreePairs
-    cograph_module._CotreePairs = ReferenceCotreePairs
-    try:
-        return cograph_module.cotree_pair_retract(g, h, tg, th)
-    finally:
-        cograph_module._CotreePairs = solver
+    return solve_on(ReferenceCotreePairs, g, h, tg, th)[0]
 
 
 def reference_build_cotree(g: Graph) -> Cotree:

@@ -22,25 +22,28 @@ from cogret.cotree import (
     format_cotree,
     max_clique_leaves,
 )
-from cogret.graph_core import Graph, induced_subgraph, random_cograph, relabel
+from cogret.graph_core import Graph, NoRetract, induced_subgraph, random_cograph, relabel
 from cogret.reduction import ThreePartitionInstance, encode
 from cogret.retract_cograph import PartitionedInstance, partitioned_retract, retract
 from cogret.retract_threshold import UNIVERSAL, threshold_elimination, threshold_retract
 
 from tests.helpers import (
     E,
+    EagerCotreePairs,
     K,
     MultisetCotreePairs,
     all_cographs,
     all_threshold_graphs,
     graph_join,
     graph_union,
+    logged,
     random_cotree,
     random_forest_graph,
     random_graph,
     random_omega_preserving_extension,
     random_threshold_graph,
     random_tp_graph,
+    solve_on,
     sparse_random_threshold_graph,
 )
 
@@ -233,17 +236,6 @@ def test_builder_answers_are_pinned():
     assert digest(answers) == BUILDER_DIGEST
 
 
-def _logged(solver_class):
-    class Logged(solver_class):
-        """Records every decide call, memo hits included."""
-
-        def decide(self, a, b):
-            self.calls.append((a, b))
-            return super().decide(a, b)
-
-    return Logged
-
-
 def dense_cotree_pairs():
     """random_cotree hosts with n from 20 to 80 against one maximum clique
     plus about 60% of the other vertices: joins where the two sides often
@@ -289,19 +281,78 @@ def test_join_search_makes_the_multiset_search_calls():
     trees_g = [build_cotree(g) for n in range(1, 8) for g in all_cographs(n)]
     trees_h = [build_cotree(h) for n in range(1, 6) for h in all_cographs(n)]
     small = ((tg, th) for tg in trees_g for th in trees_h)
-    seeded = ((build_cotree(g), build_cotree(h)) for g, h in seeded_cotree_pairs(400))
+    seeded = ((build_cotree(g), build_cotree(h)) for g, h in seeded_cotree_pairs(1000))
     calls = 0
     pairs = chain(small, seeded, dense_cotree_pairs(), encoded_pairs(), crowded_join_pairs())
     for tg, th in pairs:
         runs = []
         for solver_class in (retract_cograph._CotreePairs, MultisetCotreePairs):
-            solver = _logged(solver_class)(tg, th)
-            solver.calls = []
+            solver = logged(solver_class)(tg, th)
             solver.decide(solver.label(tg), solver.label(th))
             runs.append((solver.calls, list(solver.memo.items()), solver.kids))
         assert runs[0] == runs[1]
         calls += len(runs[0][0])
     assert calls > 100000
+
+
+def forest_pairs():
+    """random_forest_graph patterns with n from 100 to 400 in hosts grown
+    by one to three omega-preserving extensions with shuffled ids, which
+    are YES, then each pair the other way round, which is NO."""
+    rng = random.Random("forest-pairs")
+    for n in range(100, 401, 100):
+        for seed in range(3):
+            h = random_forest_graph(n, seed)
+            g = h
+            for _ in range(rng.randint(1, 3)):
+                g = random_omega_preserving_extension(g, rng.randrange(10**6)) or g
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            yield relabel(g, perm), h
+            yield h, g
+
+
+def _canonical_memo(solver) -> dict:
+    """solver.memo with each label interned during the search, for a join
+    of pattern cocomponents, keyed by its kind and child labels, which
+    were all fixed at construction."""
+    fixed = max(solver.glab[-1], solver.hlab[-1])
+
+    def canon(label):
+        return label if label <= fixed else (solver.kind[label], solver.kids[label])
+
+    return {(canon(a), canon(b)): got for (a, b), got in solver.memo.items()}
+
+
+def test_lazy_union_step_agrees_with_the_eager_one():
+    # the union step decides only the pairs its matching reads; the eager
+    # reference decides every pair that may be an edge first
+    graphs_g = [g for n in range(1, 8) for g in all_cographs(n)]
+    graphs_h = [h for n in range(1, 6) for h in all_cographs(n)]
+    small = ((g, h) for g in graphs_g for h in graphs_h)
+    trees = chain(dense_cotree_pairs(), encoded_pairs())
+    as_graphs = ((cotree_to_graph(tg), cotree_to_graph(th)) for tg, th in trees)
+    pairs = chain(small, seeded_cotree_pairs(400), as_graphs)
+    outcomes = set()
+
+    def check(g, h):
+        tg, th = build_cotree(g), build_cotree(h)
+        lazy, solver = solve_on(logged(retract_cograph._CotreePairs), g, h, tg, th)
+        eager, reference = solve_on(logged(EagerCotreePairs), g, h, tg, th)
+        assert lazy == eager
+        memo = _canonical_memo(reference)
+        assert all(memo[key] == got for key, got in _canonical_memo(solver).items())
+        outcomes.add(getattr(lazy, "reason", "YES"))
+        return lazy, solver, reference
+
+    for g, h in pairs:
+        check(g, h)
+    for i, (g, h) in enumerate(forest_pairs()):
+        lazy, solver, reference = check(g, h)
+        if i % 2 == 0:  # the saving: fewer pairs decided, memo hits aside
+            assert not isinstance(lazy, NoRetract)
+            assert len(solver.memo) < len(reference.memo)
+    assert outcomes == {"YES", "clique-mismatch", "universal-count", "matching-deficit"}
 
 
 PARTITIONED_DIGEST = "d5d5088c45e588413f48fce9d86596f705068fd2f41dbdf9ee8246f94f740b6c"

@@ -99,7 +99,7 @@ def test_same_pairs_as_recursive_search():
 
 
 def test_private_core_equals_recursive_search():
-    # the cotree-pair solver calls the core on edges in (left, right) order
+    # the core takes its edges in (left, right) order
     rng = random.Random("matching-core")
     for trial in range(400):
         p, q = rng.randint(0, 30), rng.choice((1, 2, rng.randint(0, 30)))

@@ -12,7 +12,8 @@ from cogret.graph_core import (
     induced_subgraph,
     verify_retract_certificate,
 )
-from cogret.retract_cograph import retract
+from cogret.cotree import build_cotree
+from cogret.retract_cograph import _CotreePairs, retract
 from cogret.oracle import brute_retract
 from cogret.retract_threshold import threshold_retract
 from cogret.retract_tp import (
@@ -24,12 +25,14 @@ from cogret.retract_tp import (
 from tests.helpers import (
     BUTTERFLY,
     C4,
+    K1,
     K3,
     P4,
     PAW,
     TWO_K2,
     all_threshold_graphs,
     all_tp_graphs,
+    graph_union,
     random_tp_graph,
     universal_isolated_chain,
 )
@@ -137,3 +140,25 @@ def test_deep_chain_pairs_answer_at_the_default_recursion_limit():
     assert isinstance(answers[0][0], RetractCertificate)
     assert isinstance(answers[1][0], RetractCertificate)
     assert answers[2][0] == NoRetract("matching-deficit")
+
+
+def test_deep_chain_certificate_needs_no_recursion():
+    # certify walks the plans on a stack of its own, not one frame per level
+    g = universal_isolated_chain(graph_union(TWO_K2, K1), 450)
+    h = universal_isolated_chain(TWO_K2, 450)
+    solver = _CotreePairs(build_cotree(g), build_cotree(h))
+    b = solver.hlab[-1]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert not isinstance(solver.decide(solver.glab[-1], b), str)
+        sys.setrecursionlimit(200)
+        rho: dict[int, int] = {}
+        gamma: dict[int, int] = {}
+        solver.certify(solver.g.root, (solver.h.root,), b, rho, gamma)
+    finally:
+        sys.setrecursionlimit(limit)
+    cert = RetractCertificate(
+        rho=tuple(rho[v] for v in range(g.n)), gamma=tuple(gamma[y] for y in range(h.n))
+    )
+    assert verify_retract_certificate(g, h, cert)
