@@ -48,9 +48,11 @@ class CommandError(click.ClickException):
     exit_code = 2
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str) -> tuple[str, str]:
+    """The file's UTF-8 text and the digest of its bytes, from one read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()[:16]
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -64,21 +66,18 @@ def _write_text(path: str, text: str) -> None:
         raise CommandError(f"cannot write {path}: {exc}")
 
 
-def _load_graph(path: str) -> Graph:
-    p = Path(path)
-    text = _read_text(path)
+def _load_graph(path: str) -> tuple[Graph, str]:
+    """The graph in the file and the digest of the file's bytes."""
+    suffix = Path(path).suffix
+    text, digest = _read_text(path)
     try:
-        if p.suffix == ".g6":
-            return parse_graph6(text)
-        if p.suffix == ".ct":
-            return cotree_to_graph(parse_cotree(text))
-        return parse_edge_list(text)
+        if suffix == ".g6":
+            return parse_graph6(text), digest
+        if suffix == ".ct":
+            return cotree_to_graph(parse_cotree(text)), digest
+        return parse_edge_list(text), digest
     except (ParseError, ValueError) as exc:
         raise CommandError(f"{path}: {exc}")
-
-
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 def _budget_from_env() -> SearchBudget | None:
@@ -159,7 +158,7 @@ def cmd_retract(g_path, h_path, solver, partitioned_path, batch_path) -> None:
     if batch_path:
         reports = []
         worst = 0
-        for lineno, raw in enumerate(_read_text(batch_path).splitlines(), start=1):
+        for lineno, raw in enumerate(_read_text(batch_path)[0].splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -186,12 +185,12 @@ def _solve_pair(
         _routed_retract,
     )
 
-    g = _load_graph(g_path)
+    g, g_digest = _load_graph(g_path)
     started = time.perf_counter()
-    report: dict = {"command": "retract", "inputs": {"g": _digest(g_path)}}
+    report: dict = {"command": "retract", "inputs": {"g": g_digest}}
     try:
         if partitioned_path is not None:
-            text = _read_text(partitioned_path)
+            text = _read_text(partitioned_path)[0]
             try:
                 inst = PartitionedInstance(g, frozenset(int(tok) for tok in text.split()))
             except ValueError as exc:
@@ -201,8 +200,7 @@ def _solve_pair(
             route = "partitioned"
         else:
             assert h_path is not None
-            h = _load_graph(h_path)
-            report["inputs"]["h"] = _digest(h_path)
+            h, report["inputs"]["h"] = _load_graph(h_path)
             if solver == "oracle":
                 result, route = _oracle_retract(g, h), solver
                 pg, ph = _PreparedGraph(g), _PreparedGraph(h)  # for the report's omegas
@@ -228,14 +226,14 @@ def _solve_pair(
 @click.argument("g_path")
 def cmd_classify(g_path) -> None:
     """Report the smallest graph class of the input."""
-    g = _load_graph(g_path)
+    g, g_digest = _load_graph(g_path)
     try:
         cls = classify(g)
     except ValueError as exc:
         raise CommandError(f"{g_path}: {exc}")
     report = {
         "command": "classify",
-        "inputs": {"g": _digest(g_path)},
+        "inputs": {"g": g_digest},
         "class": cls.name,
         "witness_kind": cls.witness_kind,
         "witness": list(cls.witness) if cls.witness else None,
@@ -249,13 +247,13 @@ def cmd_folding(g_path) -> None:
     """Compute the folding number, with a verified fold sequence when cheap."""
     from . import folding as folding_mod
 
-    g = _load_graph(g_path)
+    g, g_digest = _load_graph(g_path)
     started = time.perf_counter()
     budget = _budget_from_env()
     if g.n == 0:
         raise CommandError(f"{g_path}: {_NO_CLASS}")
     prepared = _PreparedGraph(g)
-    report: dict = {"command": "folding", "inputs": {"g": _digest(g_path)}}
+    report: dict = {"command": "folding", "inputs": {"g": g_digest}}
     if prepared.order is not None:
         sigma, seq = folding_mod._threshold_folding(g, prepared.order)
         route = "threshold"
@@ -287,14 +285,14 @@ def cmd_absolute(h_path, out_path) -> None:
     """Test whether the input is an absolute retract for cographs."""
     from . import absolute as absolute_mod
 
-    h = _load_graph(h_path)
+    h, h_digest = _load_graph(h_path)
     try:
         verdict = absolute_mod.is_absolute_retract(h)
     except (ValueError, NotCographError) as exc:
         raise CommandError(str(exc))
     report: dict = {
         "command": "absolute",
-        "inputs": {"h": _digest(h_path)},
+        "inputs": {"h": h_digest},
         "absolute": verdict.is_absolute,
         "failing_vertices": list(verdict.failing_vertices),
     }
@@ -314,7 +312,7 @@ def cmd_reduce3p(instance_path, out_prefix, force) -> None:
     """Encode a 3-partition instance as cotree files PREFIX_G.ct, PREFIX_H.ct."""
     from . import reduction as reduction_mod
 
-    text = _read_text(instance_path)
+    text, digest = _read_text(instance_path)
     try:
         inst = reduction_mod.parse_instance(text)
         pair = reduction_mod.encode(inst, force=force)
@@ -326,7 +324,7 @@ def cmd_reduce3p(instance_path, out_prefix, force) -> None:
     _write_text(h_path, format_cotree(pair.h) + "\n")
     report = {
         "command": "reduce3p",
-        "inputs": {"instance": _digest(instance_path)},
+        "inputs": {"instance": digest},
         "g_path": g_path,
         "h_path": h_path,
         "degenerate": pair.degenerate,
@@ -361,11 +359,11 @@ def _oracle_retract(g: Graph, h: Graph) -> RetractCertificate | NoRetract:
 @click.argument("g_path")
 @click.argument("h_path")
 def cmd_oracle_retract(g_path, h_path) -> None:
-    g, h = _load_graph(g_path), _load_graph(h_path)
+    (g, g_digest), (h, h_digest) = _load_graph(g_path), _load_graph(h_path)
     result = _oracle_retract(g, h)
     report = {
         "command": "oracle retract",
-        "inputs": {"g": _digest(g_path), "h": _digest(h_path)},
+        "inputs": {"g": g_digest, "h": h_digest},
     }
     report.update(_cert_payload(result))
     _emit(report, 0 if isinstance(result, RetractCertificate) else 1)
@@ -377,11 +375,11 @@ def cmd_oracle_retract(g_path, h_path) -> None:
 def cmd_oracle_hom(g_path, h_path) -> None:
     from . import oracle as oracle_mod
 
-    g, h = _load_graph(g_path), _load_graph(h_path)
+    (g, g_digest), (h, h_digest) = _load_graph(g_path), _load_graph(h_path)
     phi = oracle_mod.brute_hom(g, h, _oracle_budget())
     report = {
         "command": "oracle hom",
-        "inputs": {"g": _digest(g_path), "h": _digest(h_path)},
+        "inputs": {"g": g_digest, "h": h_digest},
         "verdict": "YES" if phi is not None else "NO",
         "map": list(phi) if phi is not None else None,
     }
@@ -396,7 +394,7 @@ def _oracle_value_command(name: str, compute):
     def _cmd(g_path):
         from . import oracle as oracle_mod
 
-        g = _load_graph(g_path)
+        g, g_digest = _load_graph(g_path)
         try:
             value = compute(oracle_mod, g)
         except ValueError as exc:  # the folding number of the empty graph
@@ -404,7 +402,7 @@ def _oracle_value_command(name: str, compute):
         _emit(
             {
                 "command": f"oracle {name}",
-                "inputs": {"g": _digest(g_path)},
+                "inputs": {"g": g_digest},
                 "value": value,
             },
             0,

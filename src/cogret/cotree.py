@@ -9,7 +9,8 @@ The builders, _PreparedGraph and the solvers hold a cotree as arrays
 (_Tree), so per-node facts such as clique numbers are lists indexed by
 node, not dicts keyed by object identity.  build_cotree turns the arrays
 into the public Leaf/Internal values (_objects); clique_number,
-optimal_coloring and max_clique_leaves read those back (_arrays).
+optimal_coloring, max_clique_leaves, cotree_to_graph, normalize and
+canonical_key read those back (_arrays) and loop over its node order.
 """
 
 from __future__ import annotations
@@ -149,15 +150,7 @@ def _postorder(root: Cotree) -> list[Cotree]:
 
 def cotree_leaves(root: Cotree) -> tuple[int, ...]:
     """All leaf vertex ids under root, in left-to-right order."""
-    out: list[int] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.vertex)
-        else:
-            stack.extend(reversed(node.children))
-    return tuple(out)
+    return tuple(node.vertex for node in _postorder(root) if isinstance(node, Leaf))
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +366,18 @@ def normalize(root: Cotree) -> Cotree:
     The result realizes the same graph and satisfies the alternation and
     arity invariants.  Idempotent.
     """
-    rebuilt: dict[int, Cotree] = {}
-    for node in _postorder(root):
-        if isinstance(node, Leaf):
-            rebuilt[id(node)] = node
-            continue
+    tree = _arrays(root)
+    nodes: list[Cotree] = [Leaf(v) for v in range(tree.n)]
+    for v in range(tree.n, len(tree.kind)):
+        kind = tree.kind[v]
         flat: list[Cotree] = []
-        for child in node.children:
-            c = rebuilt[id(child)]
-            if isinstance(c, Internal) and c.kind == node.kind:
+        for c in map(nodes.__getitem__, tree.kids[v]):
+            if isinstance(c, Internal) and c.kind == kind:
                 flat.extend(c.children)
             else:
                 flat.append(c)
-        rebuilt[id(node)] = flat[0] if len(flat) == 1 else Internal(node.kind, tuple(flat))
-    return rebuilt[id(root)]
+        nodes.append(flat[0] if len(flat) == 1 else Internal(kind, tuple(flat)))
+    return nodes[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -580,16 +571,12 @@ def canonical_key(root: Cotree) -> bytes:
     kind-labeled trees.  Leaf ids are erased, so equal keys imply
     isomorphic graphs.
     """
-    keys: dict[int, bytes] = {}
-    for node in _postorder(root):
-        if isinstance(node, Leaf):
-            keys[id(node)] = b"L"
-        else:
-            child_keys = sorted(keys[id(c)] for c in node.children)
-            keys[id(node)] = (
-                node.kind.encode("ascii") + b"(" + b"".join(child_keys) + b")"
-            )
-    return keys[id(root)]
+    tree = _arrays(root)
+    keys = [b"L"] * tree.n
+    for v in range(tree.n, len(tree.kind)):
+        child_keys = sorted(map(keys.__getitem__, tree.kids[v]))
+        keys.append(tree.kind[v].encode("ascii") + b"(" + b"".join(child_keys) + b")")
+    return keys[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +613,7 @@ def parse_cotree(text: str) -> Cotree:
     """
     s = "".join(text.split())
     pos = 0
+    leaves: list[int] = []
     open_nodes: list[tuple[str, list[Cotree]]] = []  # (kind, children so far)
     while True:
         if pos >= len(s):
@@ -643,7 +631,8 @@ def parse_cotree(text: str) -> Cotree:
             pos += 1
         if pos == start:
             raise CotreeError(f"expected leaf id or kind at position {pos}")
-        node: Cotree = Leaf(int(s[start:pos]))
+        leaves.append(int(s[start:pos]))
+        node: Cotree = Leaf(leaves[-1])
         # attach the finished node; close every parent whose last child it is
         while open_nodes:
             open_nodes[-1][1].append(node)
@@ -661,8 +650,7 @@ def parse_cotree(text: str) -> Cotree:
             break
     if pos != len(s):
         raise CotreeError(f"trailing input at position {pos}")
-    root = normalize(node)
-    leaves = cotree_leaves(root)
+    # checked first: normalize gives every id up to the largest a slot
     if sorted(leaves) != list(range(len(leaves))):
         raise CotreeError("leaf ids must be a permutation of 0..n-1")
-    return root
+    return normalize(node)

@@ -6,10 +6,10 @@ component by bipartite matching; the instance is always bipartite, so
 general matching machinery is unnecessary and the O(E sqrt(V)) bound is
 kept.  Processing order is fixed so results are deterministic.
 
-`max_matching` runs the private core `_hopcroft_karp` on the validated
-edges, sorted.  The solver runs the first phase itself, deciding pairs
-only as the phase reads them, and calls `_augment`, the later phases, on
-the matching that phase leaves when it falls short.
+`max_matching` runs the private core `_augment` from an empty matching on
+the validated edges, sorted.  The solver runs the first phase itself,
+deciding pairs only as the phase reads them, and calls `_augment` on the
+matching that phase leaves when it falls short.
 """
 
 from __future__ import annotations
@@ -54,37 +54,16 @@ class Matching:
 
 def max_matching(inst: BipartiteInstance) -> Matching:
     """Maximum-cardinality matching; deterministic for a fixed input order."""
-    return Matching(pairs=_hopcroft_karp(inst.p, inst.q, sorted(inst.edges)))
-
-
-def _hopcroft_karp(
-    p: int, q: int, edges: list[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """Maximum matching of left vertices 0..p-1 to right vertices 0..q-1
-    along valid, distinct edges given in (left, right) order; its pairs
-    in left order."""
-    adj: list[list[int]] = [[] for _ in range(p)]
-    for u, v in edges:
+    adj: list[list[int]] = [[] for _ in range(inst.p)]
+    for u, v in sorted(inst.edges):
         adj[u].append(v)
-    pair_left = [_INF] * p
-    pair_right = [_INF] * q
-    matched = 0
-    # the first phase, whose augmenting paths are single edges: each free
-    # left vertex in turn takes its first free right vertex
-    for u in range(p):
-        for v in adj[u]:
-            if pair_right[v] == _INF:
-                pair_left[u] = v
-                pair_right[v] = u
-                matched += 1
-                break
-    if matched < min(p, q):
-        _augment(adj, pair_left, pair_right)
-    return tuple((u, pair_left[u]) for u in range(p) if pair_left[u] != _INF)
+    pair_left, pair_right = [_INF] * inst.p, [_INF] * inst.q
+    _augment(adj, pair_left, pair_right)
+    return Matching(tuple((u, v) for u, v in enumerate(pair_left) if v != _INF))
 
 
 def _augment(adj: list[list[int]], pair_left: list[int], pair_right: list[int]) -> None:
-    """The later Hopcroft-Karp phases: augment the matching in place along
+    """The Hopcroft-Karp phases: augment the matching in place along
     shortest alternating paths until none is left."""
     p = len(adj)
     dist = [0] * p

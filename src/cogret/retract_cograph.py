@@ -33,7 +33,9 @@ Both cotrees come as arrays (cotree._Tree): one loop per cotree interns
 its labels in left-to-right postorder, host first, and gives every node
 its clique number.  A pattern side that joins several cocomponents has
 no node of its own, so certify takes it as a tuple of node ids.  Only
-decide recurses, once per cotree level; certify works off a stack.
+decide recurses, once per cotree level; certify works off a stack of
+pairs, on which a pair with equal labels puts its children, paired in
+label order, so the labels of each child pair are equal too.
 
 Every label also carries its vertex count and independence number (sums
 over a union's children; at a join the count is the sum and the
@@ -55,13 +57,11 @@ from .cotree import (
     NOT_COGRAPH,
     THRESHOLD,
     UNION,
-    Cotree,
     NotCographError,
     _LEAF,
     _NO_CLASS,
     _PreparedGraph,
     _Tree,
-    _arrays,
     _classed_cotree,
     _omegas,
     _walk_down,
@@ -225,7 +225,7 @@ class _CotreePairs:
     cocomponents gets its label from theirs without building a subtree.
     """
 
-    def __init__(self, tg: _Tree | Cotree, th: _Tree | Cotree):
+    def __init__(self, tg: _Tree, th: _Tree):
         self.index: dict[tuple[str, tuple[int, ...]], int] = {}
         self.kind: list[str] = []
         self.kids: list[tuple[int, ...]] = []
@@ -234,7 +234,7 @@ class _CotreePairs:
         self.alpha: list[int] = []  # independence number
         self.memo: dict[tuple[int, int], str | _Plan] = {}
         self.intern(_LEAF, ())  # label 0, as every postorder starts at a leaf
-        self.g, self.h = _arrays(tg), _arrays(th)
+        self.g, self.h = tg, th
         self.glab, self.hlab = self._label(self.g), self._label(self.h)  # per node
 
     def _label(self, tree: _Tree) -> list[int]:
@@ -248,10 +248,6 @@ class _CotreePairs:
             labels[v] = self.intern(*key) if got is None else got
         tree.omega = list(map(self.omega.__getitem__, labels))
         return labels
-
-    def label(self, tree: _Tree | Cotree) -> int:
-        """The label of a cotree, given as a _Tree or as Leaf/Internal values."""
-        return self._label(_arrays(tree))[-1]
 
     def intern(self, kind: str, kids: tuple[int, ...]) -> int:
         """Label of a node of this kind over children with these sorted labels."""
@@ -487,32 +483,39 @@ class _CotreePairs:
         pattern side ys, the join of these pattern nodes, with label b.
 
         One loop over a stack of such pairs, each plan's pairs pushed in
-        its place, so no cotree depth can exhaust the recursion limit.
-        The pairs on the stack have disjoint sides, so every vertex is
-        written once."""
+        its place, so no cotree depth can exhaust the recursion limit.  A
+        pair with equal labels has no plan: its children, sorted by label
+        on both sides, pair up one to one with equal labels and are pushed
+        instead.  The pairs on the stack have disjoint sides, so every
+        vertex is written once."""
         g, h, glab, hlab, omega = self.g, self.h, self.glab, self.hlab, self.omega
+        n, kind, size, hkey = g.n, self.kind, self.size, hlab.__getitem__
         tasks = [(x, ys, b)]
         while tasks:
             x, ys, b = tasks.pop()
-            if x < g.n:  # a single vertex retracts onto itself only
+            if x < n:  # a single vertex retracts onto itself only
                 (y,) = ys
                 rho[x], gamma[y] = y, x
                 continue
             a = glab[x]
-            if omega[b] == self.size[b]:
+            # equally labelled single nodes are walked down even as cliques:
+            # both builders list a join's leaves in vertex order, so the walk
+            # gives _clique_maps' maps at less cost.  A pattern side of
+            # several nodes comes in plan order, so it keeps _clique_maps.
+            if omega[b] == size[b] and (a != b or len(ys) > 1):
                 self._clique_maps(x, ys, rho, gamma)
                 continue
-            if a == b:
-                self._iso_maps(x, ys, rho, gamma)
-                continue
-            plan = self.memo[(a, b)]
-            assert not isinstance(plan, str), "certify called on a NO pair"
             gkids = sorted(g.kids[x], key=glab.__getitem__)
-            if self.kind[a] == UNION and self.kind[b] != UNION:
+            if kind[a] == UNION and kind[b] != UNION:
                 hkids, hlabels = [ys], [b]
             else:
-                hk = sorted(h.kids[ys[0]] if len(ys) == 1 else ys, key=hlab.__getitem__)
+                hk = sorted(h.kids[ys[0]] if len(ys) == 1 else ys, key=hkey)
+                if a == b:  # isomorphic: the children pair up in label order
+                    tasks.extend(zip(gkids, zip(hk), map(hkey, hk)))
+                    continue
                 hkids, hlabels = [(y,) for y in hk], [hlab[y] for y in hk]
+            plan = self.memo[(a, b)]
+            assert not isinstance(plan, str), "certify called on a NO pair"
             for i, js in plan:
                 sub = tuple(y for j in js for y in hkids[j])
                 tasks.append((gkids[i], sub, self.joined([hlabels[j] for j in js])))
@@ -535,22 +538,9 @@ class _CotreePairs:
         rho.update({v: to_h[c] for v, c in colors.items()})
         gamma.update(zip(h_sorted, clique))
 
-    def _iso_maps(self, x: int, ys: tuple[int, ...], rho: dict, gamma: dict) -> None:
-        """Isomorphism between equally labelled subtrees, and its inverse."""
-        gkids, hkids, n = self.g.kids, self.h.kids, self.g.n
-        glab, hlab = self.glab.__getitem__, self.hlab.__getitem__
-        top = hkids[ys[0]] if len(ys) == 1 else ys  # x is internal, and so is the pattern
-        stack = list(zip(sorted(gkids[x], key=glab), sorted(top, key=hlab)))
-        while stack:
-            u, y = stack.pop()
-            if u < n:
-                rho[u], gamma[y] = y, u
-            else:
-                stack.extend(zip(sorted(gkids[u], key=glab), sorted(hkids[y], key=hlab)))
-
 
 def cotree_pair_retract(
-    g: Graph, h: Graph, tg: _Tree | Cotree, th: _Tree | Cotree
+    g: Graph, h: Graph, tg: _Tree, th: _Tree
 ) -> RetractCertificate | NoRetract:
     """Decide whether h is a retract of g from their cotrees tg and th.
 

@@ -30,7 +30,6 @@ from cogret.graph_core import Graph, ParseError, _random_composition, relabel
 from cogret.matching import (
     BipartiteInstance,
     Matching,
-    _hopcroft_karp,
     max_matching,
     saturates_right,
 )
@@ -881,7 +880,7 @@ class EagerCotreePairs(cograph_module._CotreePairs):
                     if q == 1:  # the matching takes the first edge
                         return ((i, (0,)),)
                     edges.append((i, j))
-        pairs = _hopcroft_karp(p, q, edges)
+        pairs = max_matching(BipartiteInstance(p, q, tuple(edges))).pairs
         if len(pairs) < q:
             return "matching-deficit"
         return tuple((i, (j,)) for i, j in pairs)
@@ -1017,7 +1016,7 @@ class MultisetCotreePairs(cograph_module._CotreePairs):
         return fill(0, target, room, bound is not None)
 
 
-def reference_cotree_pair_retract(g: Graph, h: Graph, tg: Cotree, th: Cotree):
+def reference_cotree_pair_retract(g: Graph, h: Graph, tg, th):
     """cotree_pair_retract run on ReferenceCotreePairs."""
     return solve_on(ReferenceCotreePairs, g, h, tg, th)[0]
 

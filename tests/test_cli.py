@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -187,6 +188,16 @@ class TestRetractCommand:
         assert report["omega_g"] == report["omega_h"] == 3
         assert len(report["certificate"]["rho"]) == 5
         assert len(report["certificate"]["gamma"]) == 3
+
+    def test_crlf_file_answers_with_the_digest_of_its_bytes(self, runner, files, tmp_path):
+        data = format_edge_list(PAW).replace("\n", "\r\n").encode()
+        (tmp_path / "paw_crlf.el").write_bytes(data)
+        code, report = run_json(runner, ["retract", str(tmp_path / "paw_crlf.el"), files["k3.ct"]])
+        _, lf = run_json(runner, ["retract", files["paw.el"], files["k3.ct"]])
+        assert code == 0 and report["verdict"] == "YES"
+        assert report["inputs"]["g"] == hashlib.sha256(data).hexdigest()[:16] != lf["inputs"]["g"]
+        del report["inputs"], report["millis"], lf["inputs"], lf["millis"]
+        assert report == lf
 
     def test_no(self, runner, files):
         code, report = run_json(runner, ["retract", files["butterfly.ct"], files["paw.el"]])

@@ -9,6 +9,7 @@ import pytest
 from cogret import cotree as cotree_module
 from cogret.cotree import (
     COGRAPH,
+    CotreeError,
     Internal,
     JOIN,
     Leaf,
@@ -648,6 +649,16 @@ class TestTextFormat:
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_cotree(bad)
+
+    def test_leaf_ids_checked_before_normalizing(self, monkeypatch):
+        # normalize gives every leaf id up to the largest a slot, so a far
+        # too large id must be refused first
+        def refuse(root):
+            raise AssertionError("normalize ran")
+
+        monkeypatch.setattr(cotree_module, "normalize", refuse)
+        with pytest.raises(CotreeError, match="permutation"):
+            parse_cotree("U(0,99999999999)")
 
     def test_deep_roundtrip(self):
         t = cotree_chain(5000)

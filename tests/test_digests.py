@@ -16,6 +16,7 @@ from cogret.cotree import (
     Internal,
     Leaf,
     NotCographError,
+    _arrays,
     build_cotree,
     classify,
     cotree_to_graph,
@@ -287,8 +288,8 @@ def test_join_search_makes_the_multiset_search_calls():
     for tg, th in pairs:
         runs = []
         for solver_class in (retract_cograph._CotreePairs, MultisetCotreePairs):
-            solver = logged(solver_class)(tg, th)
-            solver.decide(solver.label(tg), solver.label(th))
+            solver = logged(solver_class)(_arrays(tg), _arrays(th))
+            solver.decide(solver.glab[-1], solver.hlab[-1])
             runs.append((solver.calls, list(solver.memo.items()), solver.kids))
         assert runs[0] == runs[1]
         calls += len(runs[0][0])
@@ -336,7 +337,7 @@ def test_lazy_union_step_agrees_with_the_eager_one():
     outcomes = set()
 
     def check(g, h):
-        tg, th = build_cotree(g), build_cotree(h)
+        tg, th = _arrays(build_cotree(g)), _arrays(build_cotree(h))
         lazy, solver = solve_on(logged(retract_cograph._CotreePairs), g, h, tg, th)
         eager, reference = solve_on(logged(EagerCotreePairs), g, h, tg, th)
         assert lazy == eager

@@ -9,7 +9,6 @@ import pytest
 from cogret.matching import (
     BipartiteInstance,
     Matching,
-    _hopcroft_karp,
     max_matching,
     saturates_right,
 )
@@ -99,14 +98,14 @@ def test_same_pairs_as_recursive_search():
 
 
 def test_private_core_equals_recursive_search():
-    # the core takes its edges in (left, right) order
+    # max_matching runs the core alone, here on edges in (left, right) order
     rng = random.Random("matching-core")
     for trial in range(400):
         p, q = rng.randint(0, 30), rng.choice((1, 2, rng.randint(0, 30)))
         density = rng.choice((0.05, 0.15, 0.4, 0.9))
         edges = [(u, v) for u in range(p) for v in range(q) if rng.random() < density]
         inst = BipartiteInstance(p=p, q=q, edges=tuple(edges))
-        assert _hopcroft_karp(p, q, edges) == reference_max_matching(inst).pairs, trial
+        assert max_matching(inst).pairs == reference_max_matching(inst).pairs, trial
 
 
 def _chain(k: int) -> BipartiteInstance:

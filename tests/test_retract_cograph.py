@@ -255,7 +255,7 @@ class TestComponentPruning:
         for n in range(1, 8):
             for tree in all_cotrees(n):
                 graph = cotree_to_graph(tree)
-                solver = _CotreePairs(tree, tree)
+                solver = _CotreePairs(_arrays(tree), _arrays(tree))
                 for node in _subtree(solver.g, solver.g.root):
                     label = solver.glab[node]
                     sub, _ = induced_subgraph(graph, [v for v in _subtree(solver.g, node) if v < n])
@@ -267,9 +267,9 @@ class TestComponentPruning:
         checked = 0
         for tg in trees:
             for th in trees:
-                solver = _CotreePairs(tg, th)
+                solver = _CotreePairs(_arrays(tg), _arrays(th))
                 tree_labels = set(solver.glab + solver.hlab)
-                solver.decide(solver.label(tg), solver.label(th))
+                solver.decide(solver.glab[-1], solver.hlab[-1])
                 for label in range(len(solver.kind)):
                     if label in tree_labels:
                         continue
@@ -280,7 +280,7 @@ class TestComponentPruning:
         assert checked
 
     def test_same_answers_on_every_small_cograph_pair(self):
-        graphs = [(g, build_cotree(g)) for n in range(1, 7) for g in all_cographs(n)]
+        graphs = [(g, _arrays(build_cotree(g))) for n in range(1, 7) for g in all_cographs(n)]
         pairs = 0
         for g, tg in graphs:
             for h, th in graphs:
@@ -312,7 +312,7 @@ class TestComponentPruning:
                     keep |= {v for v in range(g.n) if rng.random() < 0.6}
                     cases.append((g, induced_subgraph(g, keep)[0]))
                 for g, h in cases:
-                    tg, th = build_cotree(g), build_cotree(h)
+                    tg, th = _arrays(build_cotree(g)), _arrays(build_cotree(h))
                     pruned = cotree_pair_retract(g, h, tg, th)
                     assert pruned == reference_cotree_pair_retract(g, h, tg, th)
                     outcomes.add(getattr(pruned, "reason", "YES"))
@@ -321,11 +321,11 @@ class TestComponentPruning:
     def test_fewer_memo_entries_on_a_tp_yes_pair(self):
         h = random_tp_graph(300, 1)
         g = _with_false_twins(h, 30, random.Random("memo"))
-        tg, th = build_cotree(g), build_cotree(h)
+        tg, th = _arrays(build_cotree(g)), _arrays(build_cotree(h))
         memo_sizes = []
         for solver_class in (_CotreePairs, ReferenceCotreePairs):
             solver = solver_class(tg, th)
-            assert not isinstance(solver.decide(solver.label(tg), solver.label(th)), str)
+            assert not isinstance(solver.decide(solver.glab[-1], solver.hlab[-1]), str)
             memo_sizes.append(len(solver.memo))
         assert memo_sizes[0] < memo_sizes[1]
 

@@ -12,7 +12,7 @@ from cogret.graph_core import (
     induced_subgraph,
     verify_retract_certificate,
 )
-from cogret.cotree import build_cotree
+from cogret.cotree import _arrays, build_cotree
 from cogret.retract_cograph import _CotreePairs, retract
 from cogret.oracle import brute_retract
 from cogret.retract_threshold import threshold_retract
@@ -143,22 +143,25 @@ def test_deep_chain_pairs_answer_at_the_default_recursion_limit():
 
 
 def test_deep_chain_certificate_needs_no_recursion():
-    # certify walks the plans on a stack of its own, not one frame per level
-    g = universal_isolated_chain(graph_union(TWO_K2, K1), 450)
-    h = universal_isolated_chain(TWO_K2, 450)
-    solver = _CotreePairs(build_cotree(g), build_cotree(h))
-    b = solver.hlab[-1]
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        assert not isinstance(solver.decide(solver.glab[-1], b), str)
-        sys.setrecursionlimit(200)
-        rho: dict[int, int] = {}
-        gamma: dict[int, int] = {}
-        solver.certify(solver.g.root, (solver.h.root,), b, rho, gamma)
-    finally:
-        sys.setrecursionlimit(limit)
-    cert = RetractCertificate(
-        rho=tuple(rho[v] for v in range(g.n)), gamma=tuple(gamma[y] for y in range(h.n))
-    )
-    assert verify_retract_certificate(g, h, cert)
+    # certify walks the plans on a stack of its own, not one frame per
+    # level; the chain against itself is certified on isomorphic pairs alone
+    chain = universal_isolated_chain(TWO_K2, 450)
+    pairs = [(universal_isolated_chain(graph_union(TWO_K2, K1), 450), chain), (chain, chain)]
+    for g, h in pairs:
+        solver = _CotreePairs(_arrays(build_cotree(g)), _arrays(build_cotree(h)))
+        b = solver.hlab[-1]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert not isinstance(solver.decide(solver.glab[-1], b), str)
+            sys.setrecursionlimit(200)
+            rho: dict[int, int] = {}
+            gamma: dict[int, int] = {}
+            solver.certify(solver.g.root, (solver.h.root,), b, rho, gamma)
+        finally:
+            sys.setrecursionlimit(limit)
+        cert = RetractCertificate(
+            rho=tuple(rho[v] for v in range(g.n)), gamma=tuple(gamma[y] for y in range(h.n))
+        )
+        assert verify_retract_certificate(g, h, cert)
+    assert solver.glab[-1] == b  # the second pair's labels are equal at the root
