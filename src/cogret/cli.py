@@ -108,9 +108,9 @@ def _emit(report: dict, code: int) -> None:
 
 
 class _Main(click.Group):
-    """The command group; an oracle search past its budget is an error, and
-    so are an input too deep for a recursive solver and a solver whose own
-    certificate check fails, none of which may exit 1, the code for NO."""
+    """The command group; an oracle search past its budget or, under a
+    raised vertex cap, too deep for its recursion is an error, as is a solver
+    whose own certificate check fails: none may exit 1, the code for NO."""
 
     def invoke(self, ctx):
         try:

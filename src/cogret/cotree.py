@@ -11,6 +11,8 @@ node, not dicts keyed by object identity.  build_cotree turns the arrays
 into the public Leaf/Internal values (_objects); clique_number,
 optimal_coloring, max_clique_leaves, cotree_to_graph, normalize and
 canonical_key read those back (_arrays) and loop over its node order.
+All but cotree_to_graph, which needs the ids 0..n-1, number the leaves
+left to right and map the ids back, so they cost the tree's size.
 """
 
 from __future__ import annotations
@@ -114,16 +116,23 @@ def _objects(tree: _Tree) -> Cotree:
     return nodes[-1]
 
 
-def _arrays(root: Cotree | _Tree) -> _Tree:
-    """root as a _Tree (a _Tree as it is), with a leaf slot per id up to the largest."""
+def _arrays(root: Cotree | _Tree, ids: list[int] | None = None) -> _Tree:
+    """root as a _Tree (a _Tree as it is), with a leaf slot per id up to the
+    largest.  Given a list ids, the leaves of a Cotree are numbered left to
+    right instead, and ids gets each one's vertex id, so the tree costs its
+    size."""
     if isinstance(root, _Tree):
         return root
     order = _postorder(root)
-    tree = _Tree(1 + max(node.vertex for node in order if isinstance(node, Leaf)))
+    leaves: list[int] | range = [node.vertex for node in order if isinstance(node, Leaf)]
+    if ids is not None:
+        ids += leaves
+        leaves = range(len(leaves))
+    tree, slots = _Tree(1 + max(leaves)), iter(leaves)
     done: list[int] = []  # the finished subtrees not yet attached, left to right
     for node in order:
         if isinstance(node, Leaf):
-            done.append(node.vertex)
+            done.append(next(slots))
             continue
         at = len(done) - len(node.children)
         kids = tuple(done[at:])
@@ -366,8 +375,9 @@ def normalize(root: Cotree) -> Cotree:
     The result realizes the same graph and satisfies the alternation and
     arity invariants.  Idempotent.
     """
-    tree = _arrays(root)
-    nodes: list[Cotree] = [Leaf(v) for v in range(tree.n)]
+    ids: list[int] = []
+    tree = _arrays(root, ids)
+    nodes: list[Cotree] = list(map(Leaf, ids))
     for v in range(tree.n, len(tree.kind)):
         kind = tree.kind[v]
         flat: list[Cotree] = []
@@ -386,7 +396,7 @@ def normalize(root: Cotree) -> Cotree:
 
 def clique_number(root: Cotree) -> int:
     """Max clique size: 1 at leaves, max over union children, sum over join."""
-    return _arrays(root).omega[-1]
+    return _arrays(root, []).omega[-1]
 
 
 def chromatic_number(root: Cotree) -> int:
@@ -394,15 +404,16 @@ def chromatic_number(root: Cotree) -> int:
 
     Cographs are perfect, so this always equals clique_number.
     """
-    return _arrays(root).omega[-1]
+    return _arrays(root, []).omega[-1]
 
 
 def optimal_coloring(root: Cotree) -> dict[int, int]:
     """Proper coloring with chromatic_number(root) colors, as vertex ->
     color: each vertex gets the sum, over the joins above it, of the clique
     numbers of the join's earlier children."""
-    tree = _arrays(root)
-    return _walk_down(tree, (tree.root,))[0]
+    ids: list[int] = []
+    tree = _arrays(root, ids)
+    return {ids[v]: c for v, c in _walk_down(tree, (tree.root,))[0].items()}
 
 
 def _walk_down(tree: _Tree, tops: tuple[int, ...]) -> tuple[dict[int, int], list[int]]:
@@ -437,8 +448,9 @@ def _walk_down(tree: _Tree, tops: tuple[int, ...]) -> tuple[dict[int, int], list
 
 def max_clique_leaves(root: Cotree) -> tuple[int, ...]:
     """Vertices of one maximum clique, chosen deterministically."""
-    tree = _arrays(root)
-    return tuple(_walk_down(tree, (tree.root,))[1])
+    ids: list[int] = []
+    tree = _arrays(root, ids)
+    return tuple(map(ids.__getitem__, _walk_down(tree, (tree.root,))[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +583,7 @@ def canonical_key(root: Cotree) -> bytes:
     kind-labeled trees.  Leaf ids are erased, so equal keys imply
     isomorphic graphs.
     """
-    tree = _arrays(root)
+    tree = _arrays(root, [])
     keys = [b"L"] * tree.n
     for v in range(tree.n, len(tree.kind)):
         child_keys = sorted(map(keys.__getitem__, tree.kids[v]))
@@ -650,7 +662,6 @@ def parse_cotree(text: str) -> Cotree:
             break
     if pos != len(s):
         raise CotreeError(f"trailing input at position {pos}")
-    # checked first: normalize gives every id up to the largest a slot
     if sorted(leaves) != list(range(len(leaves))):
         raise CotreeError("leaf ids must be a permutation of 0..n-1")
     return normalize(node)

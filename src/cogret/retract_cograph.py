@@ -32,10 +32,11 @@ key reads labels fixed at construction.
 Both cotrees come as arrays (cotree._Tree): one loop per cotree interns
 its labels in left-to-right postorder, host first, and gives every node
 its clique number.  A pattern side that joins several cocomponents has
-no node of its own, so certify takes it as a tuple of node ids.  Only
-decide recurses, once per cotree level; certify works off a stack of
-pairs, on which a pair with equal labels puts its children, paired in
-label order, so the labels of each child pair are equal too.
+no node of its own, so certify takes it as a tuple of node ids.  Neither
+walk recurses: decide runs the union and join steps, generators yielding
+the pairs they need decided, off one stack, and certify works off a
+stack of pairs, on which a pair with equal labels puts its children,
+paired in label order, so the labels of each child pair are equal too.
 
 Every label also carries its vertex count and independence number (sums
 over a union's children; at a join the count is the sum and the
@@ -49,6 +50,7 @@ missing matching edge.
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass
 
 from .cotree import (
@@ -211,8 +213,10 @@ def _prune_plan(tree: _Tree, inside: list[int]) -> tuple[list[tuple[list[int], i
 
 # A decided pair is a NO reason code, or a YES plan: (host child, pattern
 # children) pairs over both sides' children sorted by label.  The plan is
-# empty when the clique or equal-label shortcut answered.
+# empty when the clique or equal-label shortcut answered.  A step, at a
+# union or a join, yields the pairs it needs decided and returns its own.
 _Plan = tuple[tuple[int, tuple[int, ...]], ...]
+_Step = Generator[tuple[int, int], "str | _Plan", "str | _Plan"]
 
 
 class _CotreePairs:
@@ -281,25 +285,36 @@ class _CotreePairs:
     # -- decision ------------------------------------------------------------
 
     def decide(self, a: int, b: int) -> str | _Plan:
-        """Does the pattern labelled b retract out of the host labelled a?"""
-        key = (a, b)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        if self.omega[a] != self.omega[b]:
-            got = "clique-mismatch"
-        elif self.omega[b] == self.size[b] or a == b:
-            got = ()
-        elif self.kind[a] == UNION:
-            got = self._decide_components(a, b)
-        elif self.kind[b] == UNION:
-            got = "matching-deficit"  # no connected graph has a disconnected retract
-        else:
-            got = self._decide_join(a, b)
-        self.memo[key] = got
-        return got
+        """Does the pattern labelled b retract out of the host labelled a?
+        One loop sends each open step, kept on a stack, the decisions of
+        the pairs it yields; memo hits and the shortcut cases make no step."""
+        memo, omega, size, kind = self.memo, self.omega, self.size, self.kind
+        steps: list = []  # (step, host label, pattern label), innermost last
+        while True:
+            got = memo.get((a, b))
+            if got is None:
+                if omega[a] != omega[b]:
+                    got = memo[a, b] = "clique-mismatch"
+                elif omega[b] == size[b] or a == b:
+                    got = memo[a, b] = ()
+                elif kind[a] == UNION:
+                    steps.append((self._decide_components(a, b), a, b))
+                elif kind[b] == UNION:  # no connected graph has a disconnected retract
+                    got = memo[a, b] = "matching-deficit"
+                else:
+                    steps.append((self._decide_join(a, b), a, b))
+            while steps:  # got goes to the innermost step; None starts a new one
+                step, a, b = steps[-1]
+                try:
+                    a, b = step.send(got)
+                    break
+                except StopIteration as done:
+                    steps.pop()
+                    got = memo[a, b] = done.value
+            else:
+                return got
 
-    def _decide_components(self, a: int, b: int) -> str | _Plan:
+    def _decide_components(self, a: int, b: int) -> _Step:
         """Each pattern component needs its own host component retracting
         onto it.  Equal clique numbers let every other host component map
         into a pattern component.
@@ -325,7 +340,7 @@ class _CotreePairs:
         omega, size, alpha = self.omega, self.size, self.alpha
         pair_left, pair_right = [_INF] * p, [_INF] * q
         matched = 0
-        for i in range(p):  # loops, not generators: one stack frame per level
+        for i in range(p):
             x = gcomps[i]
             for j in range(q):
                 y = hcomps[j]
@@ -334,7 +349,7 @@ class _CotreePairs:
                     and omega[y] == omega[x]
                     and size[y] <= size[x]
                     and alpha[y] <= alpha[x]
-                    and not isinstance(self.decide(x, y), str)
+                    and not isinstance((yield x, y), str)
                 ):
                     pair_left[i], pair_right[j] = j, i
                     matched += 1
@@ -352,7 +367,7 @@ class _CotreePairs:
                         omega[y] == omega[x]
                         and size[y] <= size[x]
                         and alpha[y] <= alpha[x]
-                        and not isinstance(self.decide(x, y), str)
+                        and not isinstance((yield x, y), str)
                     ):
                         adj[i].append(j)
                         seen = True
@@ -365,7 +380,7 @@ class _CotreePairs:
                 return "matching-deficit"
         return tuple((i, (pair_left[i],)) for i in range(p) if pair_left[i] != _INF)
 
-    def _decide_join(self, a: int, b: int) -> str | _Plan:
+    def _decide_join(self, a: int, b: int) -> _Step:
         """Give each host cocomponent a nonempty multiset of pattern
         cocomponents whose clique numbers sum to its own, such that it
         retracts onto their join.
@@ -448,7 +463,7 @@ class _CotreePairs:
                 if not lag or run >= picks[-lag:]:
                     y = self.joined([classes[c] for c in run])
             if y >= 0:
-                got = self.decide(x, y)
+                got = yield x, y
                 if not isinstance(got, str):
                     if i == last:
                         break

@@ -845,7 +845,7 @@ class ReferenceCotreePairs(cograph_module._CotreePairs):
         edges = []
         for i in range(p):
             for j in range(q):
-                if not isinstance(self.decide(gcomps[i], hcomps[j]), str):
+                if not isinstance((yield gcomps[i], hcomps[j]), str):
                     edges.append((i, j))
         matching = max_matching(BipartiteInstance(p=p, q=q, edges=tuple(edges)))
         if not saturates_right(matching, q):
@@ -867,7 +867,7 @@ class EagerCotreePairs(cograph_module._CotreePairs):
             return "matching-deficit"
         omega, size, alpha = self.omega, self.size, self.alpha
         edges = []  # in (i, j) order
-        for i in range(p):  # a loop, not a generator: one stack frame per level
+        for i in range(p):
             x = gcomps[i]
             for j in range(q):
                 y = hcomps[j]
@@ -875,7 +875,7 @@ class EagerCotreePairs(cograph_module._CotreePairs):
                     omega[y] == omega[x]
                     and size[y] <= size[x]
                     and alpha[y] <= alpha[x]
-                    and not isinstance(self.decide(x, y), str)
+                    and not isinstance((yield x, y), str)
                 ):
                     if q == 1:  # the matching takes the first edge
                         return ((i, (0,)),)
@@ -887,8 +887,9 @@ class EagerCotreePairs(cograph_module._CotreePairs):
 
 
 def logged(solver_class):
-    """solver_class with every decide call, memo hits included, recorded
-    in order in its calls list."""
+    """solver_class with every pair requested, memo hits included, recorded
+    in order in its calls list: the pair given to decide, then each pair
+    its union and join steps yield."""
 
     class Logged(solver_class):
         def __init__(self, tg, th):
@@ -898,6 +899,22 @@ def logged(solver_class):
         def decide(self, a, b):
             self.calls.append((a, b))
             return super().decide(a, b)
+
+        def _decide_components(self, a, b):
+            return self._logged(super()._decide_components(a, b))
+
+        def _decide_join(self, a, b):
+            return self._logged(super()._decide_join(a, b))
+
+        def _logged(self, step):
+            got = None
+            while True:
+                try:
+                    pair = step.send(got)
+                except StopIteration as done:
+                    return done.value
+                self.calls.append(pair)
+                got = yield pair
 
     return Logged
 
@@ -970,7 +987,7 @@ class MultisetCotreePairs(cograph_module._CotreePairs):
                 if parts:
                     parts.pop()
                 continue
-            got = self.decide(
+            got = yield (
                 hosts[i], self.joined([c for c, k in zip(classes, part) for _ in range(k)])
             )
             if isinstance(got, str):

@@ -412,22 +412,37 @@ class TestInputErrors:
         assert "Error: cannot write" in result.output
         assert "no_such_dir" in result.output
 
-    def test_too_deep_for_the_solver_exit_2(self, runner, tmp_path):
+    def test_deep_cotree_pairs_answer(self, runner, tmp_path):
         # 2K2 against K2+K1, each under 500 vertices added alternately
-        # universal and isolated: a NO the recursive cotree-pair solver
-        # cannot reach
-        paths = []
-        for name, base in (("g", TWO_K2), ("h", Graph(3, [(0, 1)]))):
+        # universal and isolated, is a NO; 2K2's chain against itself
+        # without its last vertex is a YES
+        paths = {}
+        for name, base, k in (
+            ("g", TWO_K2, 500),
+            ("no", Graph(3, [(0, 1)]), 500),
+            ("yes", TWO_K2, 499),
+        ):
             node = build_cotree(base)
-            for i in range(500):
+            for i in range(k):
                 node = Internal(UNION if i % 2 else JOIN, (Leaf(base.n + i), node))
             path = tmp_path / f"{name}.ct"
             path.write_text(format_cotree(node) + "\n")
-            paths.append(str(path))
-        result = runner.invoke(main, ["retract", *paths])
+            paths[name] = str(path)
+        code, report = run_json(runner, ["retract", paths["g"], paths["no"]])
+        assert code == 1 and (report["verdict"], report["reason"]) == ("NO", "matching-deficit")
+        code, report = run_json(runner, ["retract", paths["g"], paths["yes"]])
+        assert code == 0 and report["verdict"] == "YES"
+
+    def test_oracle_too_deep_exit_2(self, runner, tmp_path, monkeypatch):
+        # a raised vertex cap lets the recursive oracle search take a
+        # 2000-vertex path, which it cannot reach the end of
+        path = tmp_path / "p.el"
+        path.write_text(format_edge_list(Graph(2000, [(v, v + 1) for v in range(1999)])))
+        monkeypatch.setenv("RETRACT_ORACLE_BUDGET", "3000:10000000")
+        result = runner.invoke(main, ["oracle", "chromatic", str(path)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert "Error: input too deep" in result.output
+        assert "Error: input too deep for the solver" in result.output
 
     @pytest.mark.parametrize(
         "args",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 
@@ -59,6 +60,7 @@ from tests.helpers import (
     P4,
     PAW,
     TWO_K2,
+    _relabel_cotree,
     all_cographs,
     all_cotrees,
     clique_with_pendant_p3,
@@ -351,6 +353,26 @@ class TestArrayForm:
         assert tree.n == 8 and tree.kids[tree.root] == (4, 8)
         assert tree.omega[tree.root] == 2
         assert optimal_coloring(_objects(tree)) == {2: 1, 4: 0, 7: 1}
+
+    def test_sparse_ids_cost_the_tree_size(self):
+        # on sparse leaf ids, each object-cotree function gives the dense
+        # tree's result with the ids mapped back, in time of the tree's size
+        rng = random.Random("sparse-ids")
+        trees = [t for n in range(1, 6) for t in all_cotrees(n)]
+        trees += [random_cotree(n, seed) for n in (20, 100) for seed in range(3)]
+        for dense in trees:
+            ids = rng.sample(range(10**6), len(cotree_leaves(dense)))
+            sparse = _relabel_cotree(dense, ids)
+            assert normalize(sparse) == _relabel_cotree(normalize(dense), ids)
+            assert canonical_key(sparse) == canonical_key(dense)
+            assert clique_number(sparse) == chromatic_number(sparse) == clique_number(dense)
+            coloring = {ids[v]: c for v, c in optimal_coloring(dense).items()}
+            assert optimal_coloring(sparse) == coloring
+            assert max_clique_leaves(sparse) == tuple(ids[v] for v in max_clique_leaves(dense))
+        two = Internal(UNION, (Leaf(0), Leaf(10**6)))
+        start = perf_counter()
+        assert (canonical_key(two), normalize(two), clique_number(two)) == (b"U(LL)", two, 1)
+        assert perf_counter() - start < 0.05
 
     def test_omega_is_computed_once(self, monkeypatch):
         calls = []

@@ -13,7 +13,7 @@ from cogret.graph_core import (
     verify_retract_certificate,
 )
 from cogret.cotree import _arrays, build_cotree
-from cogret.retract_cograph import _CotreePairs, retract
+from cogret.retract_cograph import _CotreePairs, fpt_retract, retract
 from cogret.oracle import brute_retract
 from cogret.retract_threshold import threshold_retract
 from cogret.retract_tp import (
@@ -121,29 +121,29 @@ class TestTpRetract:
                     assert result.reason in codes, (list(g.edges()), list(h.edges()))
 
 
-def test_deep_chain_pairs_answer_at_the_default_recursion_limit():
-    # the solver recurses twice per cotree level; 450 levels must leave
-    # room under the default limit of 1000 frames
-    g = universal_isolated_chain(TWO_K2, 450)
-    patterns = [
-        g,
-        induced_subgraph(g, range(g.n - 1))[0],
-        universal_isolated_chain(Graph(3, [(0, 1)]), 450),
-    ]
+def test_deep_chain_pairs_answer_under_a_low_recursion_limit():
+    # decide and certify run off stacks of their own: 2000 levels answer
+    # under a limit of 200 frames on every cotree route
+    g = universal_isolated_chain(TWO_K2, 2000)
+    yes = induced_subgraph(g, range(g.n - 1))[0]
+    no = universal_isolated_chain(Graph(3, [(0, 1)]), 2000)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
+    sys.setrecursionlimit(200)
     try:
-        answers = [retract(g, h) for h in patterns]
+        routed = [retract(g, h) for h in (g, yes, no)]
+        answers = [[run(g, h) for h in (yes, no)] for run in (tp_retract, fpt_retract)]
     finally:
         sys.setrecursionlimit(limit)
-    assert [route for _, route in answers] == ["tp"] * 3
-    assert isinstance(answers[0][0], RetractCertificate)
-    assert isinstance(answers[1][0], RetractCertificate)
-    assert answers[2][0] == NoRetract("matching-deficit")
+    assert [route for _, route in routed] == ["tp"] * 3
+    answers.append([result for result, _ in routed[1:]])
+    for cert, refusal in answers:
+        assert isinstance(cert, RetractCertificate) and verify_retract_certificate(g, yes, cert)
+        assert refusal == NoRetract("matching-deficit")
+    assert verify_retract_certificate(g, g, routed[0][0])
 
 
 def test_deep_chain_certificate_needs_no_recursion():
-    # certify walks the plans on a stack of its own, not one frame per
+    # decide and certify work off stacks of their own, not one frame per
     # level; the chain against itself is certified on isomorphic pairs alone
     chain = universal_isolated_chain(TWO_K2, 450)
     pairs = [(universal_isolated_chain(graph_union(TWO_K2, K1), 450), chain), (chain, chain)]
@@ -151,10 +151,9 @@ def test_deep_chain_certificate_needs_no_recursion():
         solver = _CotreePairs(_arrays(build_cotree(g)), _arrays(build_cotree(h)))
         b = solver.hlab[-1]
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
+        sys.setrecursionlimit(200)
         try:
             assert not isinstance(solver.decide(solver.glab[-1], b), str)
-            sys.setrecursionlimit(200)
             rho: dict[int, int] = {}
             gamma: dict[int, int] = {}
             solver.certify(solver.g.root, (solver.h.root,), b, rho, gamma)
