@@ -279,31 +279,37 @@ def _split_cotree(g: Graph) -> _Tree:
 
     Kinds alternate, so a union's children are split only into
     co-components and a join's only into components; only the root tries
-    both.  A split copies its set of unplaced vertices once that holds
-    under a quarter of the vertices it was built with: a CPython set never
-    shrinks its table and every set operation walks it, so without the
-    copy a deep cotree would cost its depth times the graph's size.
+    both, and a two-vertex part takes none: it is the join of its leaves
+    if they are adjacent, else their union.  A split copies its set of
+    unplaced vertices once that holds under a quarter of the vertices it
+    was built with: a CPython set never shrinks its table and every set
+    operation walks it, so without the copy a deep cotree would cost its
+    depth times the graph's size.
     """
-    plan: dict[tuple[int, ...], tuple[str, list[tuple[int, ...]]]] = {}  # in preorder
+    adj, tree = g.adjacency, _Tree(g.n)
+    if g.n == 1:
+        return tree  # the root is the one leaf
+    plan: list[tuple[str, list[tuple[int, ...]]]] = []  # in preorder, right to left
     stack: list[tuple[tuple[int, ...], str | None]] = [(tuple(range(g.n)), None)]
     while stack:
         vs, parent = stack.pop()
-        if len(vs) == 1:
+        if len(vs) == 2:
+            plan.append((JOIN if vs[1] in adj[vs[0]] else UNION, [vs[:1], vs[1:]]))
             continue
         for kind in (UNION, JOIN):
             if kind == parent:
                 continue  # a union's parts are connected, a join's co-connected
             parts = _split(g, vs, kind == JOIN)
             if len(parts) > 1:
-                plan[vs] = (kind, parts)
-                stack.extend((p, kind) for p in parts)
+                plan.append((kind, parts))
+                stack += [(p, kind) for p in parts if len(p) > 1]
                 break
         else:
             raise NotCographError(find_induced_p4(g, vs))  # type: ignore[arg-type]
-    tree, node = _Tree(g.n), {}
-    for vs in reversed(plan):  # children before their parents
-        kind, parts = plan[vs]
-        node[vs] = tree.add(kind, tuple(node[p] if len(p) > 1 else p[0] for p in parts))
+    built: list[int] = []  # finished internal nodes; the last is the rightmost
+    for kind, parts in reversed(plan):  # left-to-right postorder
+        kids = [p[0] if len(p) == 1 else built.pop() for p in reversed(parts)]
+        built.append(tree.add(kind, tuple(reversed(kids))))
     return tree
 
 

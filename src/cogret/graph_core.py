@@ -307,28 +307,31 @@ def components(g: Graph) -> list[tuple[int, ...]]:
 def _split(g: Graph, vs: tuple[int, ...], join: bool) -> list[tuple[int, ...]]:
     """Components of g[vs], or of its complement when join is set, as
     sorted tuples ordered by smallest vertex; vs must be sorted.  Serves
-    components and the cotree's split builder; a part grows by one C-level
-    set operation per vertex it takes."""
+    components and the split builder in one pass over vs, ended once all
+    are placed; a part grows by one C-level set operation per vertex."""
     adj = g.adjacency
     unvisited = set(vs)
     built = len(vs)
-    rest = iter(vs)
     parts = []
-    while unvisited:
-        s = next(v for v in rest if v in unvisited)
+    for s in vs:
+        if s not in unvisited:
+            continue
         unvisited.remove(s)
-        part, stack = [s], [s]
-        while stack and unvisited:  # depth first drains unvisited soonest
-            v = stack.pop()
+        part = [s]
+        for v in part:  # breadth first: part grows as it is read
             found = unvisited - adj[v] if join else adj[v] & unvisited
             if found:
                 unvisited -= found
                 part += found
-                stack += found
+                if not unvisited:
+                    break
                 if 4 * len(unvisited) < built:
                     unvisited = set(unvisited)
                     built = len(unvisited)
-        parts.append(tuple(sorted(part)))
+        part.sort()
+        parts.append(tuple(part))
+        if not unvisited:
+            break
     return parts
 
 

@@ -218,25 +218,36 @@ def brute_chromatic(g: Graph, budget: SearchBudget | None = None) -> int:
     if g.m == 0:
         return 1
     order = sorted(range(g.n), key=g.degree, reverse=True)
-    color = [-1] * g.n
+    adj = g.adjacency
 
-    def try_k(k: int, idx: int) -> bool:
-        if idx == g.n:
-            return True
-        v = order[idx]
-        used_new = max(color[order[i]] for i in range(idx)) if idx else -1
-        for c in range(min(k - 1, used_new + 1) + 1):
-            meter.tick()
-            if all(color[u] != c for u in g.adjacency[v]):
-                color[v] = c
-                if try_k(k, idx + 1):
-                    return True
-                color[v] = -1
+    def try_k(k: int) -> bool:
+        # backtracking on an explicit stack, so a long graph does not
+        # recurse: order[i] tries the colours up to one past the largest on
+        # order[:i] (highest[i]), at most k of them, a tick per colour
+        color = [-1] * g.n
+        highest = [-1]
+        tries = [iter(range(1))]  # tries[i]: the colours order[i] has left; order[0] takes 0
+        while tries:
+            i = len(tries) - 1
+            v = order[i]
+            color[v] = -1
+            for c in tries[i]:
+                meter.tick()
+                if all(color[u] != c for u in adj[v]):
+                    color[v] = c
+                    break
+            else:
+                del tries[i], highest[i]
+                continue
+            if i + 1 == g.n:
+                return True
+            top = max(highest[i], c)
+            highest.append(top)
+            tries.append(iter(range(min(k - 1, top + 1) + 1)))
         return False
 
     for k in range(1, g.n + 1):
-        color = [-1] * g.n
-        if try_k(k, 0):
+        if try_k(k):
             return k
     return g.n
 

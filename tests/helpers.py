@@ -8,6 +8,7 @@ import sys
 from collections import Counter, deque
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import combinations
 
 from cogret import cotree as cotree_module
 from cogret import retract_cograph as cograph_module
@@ -20,19 +21,21 @@ from cogret.cotree import (
     Cotree,
     CotreeError,
     NotCographError,
+    _Tree,
     _postorder,
     build_cotree,
     cotree_leaves,
     cotree_to_graph,
     find_induced_p4,
 )
-from cogret.graph_core import Graph, ParseError, _random_composition, relabel
+from cogret.graph_core import Graph, ParseError, SearchBudget, _random_composition, relabel
 from cogret.matching import (
     BipartiteInstance,
     Matching,
     max_matching,
     saturates_right,
 )
+from cogret.oracle import _Meter
 from cogret.retract_threshold import ISOLATED, UNIVERSAL, EliminationOrder
 
 
@@ -146,6 +149,14 @@ def _shape_to_cotree(shape, counter: list[int]) -> Cotree:
         return Leaf(counter[0] - 1)
     kind, children = shape
     return Internal(kind, tuple(_shape_to_cotree(s, counter) for _, s in children))
+
+
+def all_graphs(most: int) -> Iterator[Graph]:
+    """Every labelled graph on at most `most` vertices."""
+    for n in range(most + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
 
 
 def all_cotrees(n: int) -> list[Cotree]:
@@ -1038,10 +1049,63 @@ def reference_cotree_pair_retract(g: Graph, h: Graph, tg, th):
     return solve_on(ReferenceCotreePairs, g, h, tg, th)[0]
 
 
+def reference_split(g: Graph, vs: tuple[int, ...], join: bool) -> list[tuple[int, ...]]:
+    """graph_core._split as first written over sets: a generator scan for
+    each part's first vertex, each part sorted into a new list."""
+    adj = g.adjacency
+    unvisited = set(vs)
+    built = len(vs)
+    rest = iter(vs)
+    parts = []
+    while unvisited:
+        s = next(v for v in rest if v in unvisited)
+        unvisited.remove(s)
+        part, stack = [s], [s]
+        while stack and unvisited:  # depth first drains unvisited soonest
+            v = stack.pop()
+            found = unvisited - adj[v] if join else adj[v] & unvisited
+            if found:
+                unvisited -= found
+                part += found
+                stack += found
+                if 4 * len(unvisited) < built:
+                    unvisited = set(unvisited)
+                    built = len(unvisited)
+        parts.append(tuple(sorted(part)))
+    return parts
+
+
+def reference_split_cotree(g: Graph) -> _Tree:
+    """cotree._split_cotree as first written on arrays: reference_split on
+    every part, two-vertex parts too, and the plan a dict keyed by vertex
+    tuples."""
+    plan: dict[tuple[int, ...], tuple[str, list[tuple[int, ...]]]] = {}  # in preorder
+    stack: list[tuple[tuple[int, ...], str | None]] = [(tuple(range(g.n)), None)]
+    while stack:
+        vs, parent = stack.pop()
+        if len(vs) == 1:
+            continue
+        for kind in (UNION, JOIN):
+            if kind == parent:
+                continue  # a union's parts are connected, a join's co-connected
+            parts = reference_split(g, vs, kind == JOIN)
+            if len(parts) > 1:
+                plan[vs] = (kind, parts)
+                stack.extend((p, kind) for p in parts)
+                break
+        else:
+            raise NotCographError(find_induced_p4(g, vs))  # type: ignore[arg-type]
+    tree, node = _Tree(g.n), {}
+    for vs in reversed(plan):  # children before their parents
+        kind, parts = plan[vs]
+        node[vs] = tree.add(kind, tuple(node[p] if len(p) > 1 else p[0] for p in parts))
+    return tree
+
+
 def reference_build_cotree(g: Graph) -> Cotree:
     """build_cotree as the split builder once assembled it: one split per
-    node, then Leaf and Internal values from a dict keyed by vertex tuples,
-    children before their parents."""
+    node (reference_split), then Leaf and Internal values from a dict keyed
+    by vertex tuples, children before their parents."""
     if g.n == 0:
         raise ValueError("cannot build a cotree for the empty graph")
     root_vs = tuple(range(g.n))
@@ -1054,7 +1118,7 @@ def reference_build_cotree(g: Graph) -> Cotree:
         for kind in (UNION, JOIN):
             if kind == parent:
                 continue
-            parts = cotree_module._split(g, vs, kind == JOIN)
+            parts = reference_split(g, vs, kind == JOIN)
             if len(parts) > 1:
                 plan[vs] = (kind, parts)
                 stack.extend((p, kind) for p in parts)
@@ -1087,3 +1151,37 @@ def reference_random_cograph(n: int, seed: int) -> Graph:
     perm = list(range(n))
     rng.shuffle(perm)
     return relabel(g, perm)
+
+
+def reference_brute_chromatic(g: Graph, budget: SearchBudget | None = None) -> int:
+    """oracle.brute_chromatic as first written, its try_k recursing once
+    per vertex: the same colours in the same order, a tick per colour."""
+    budget = budget or SearchBudget(max_vertices=16)
+    meter = _Meter(budget)
+    meter.check_size(g, "brute_chromatic")
+    if g.n == 0:
+        return 0
+    if g.m == 0:
+        return 1
+    order = sorted(range(g.n), key=g.degree, reverse=True)
+    color = [-1] * g.n
+
+    def try_k(k: int, idx: int) -> bool:
+        if idx == g.n:
+            return True
+        v = order[idx]
+        used_new = max(color[order[i]] for i in range(idx)) if idx else -1
+        for c in range(min(k - 1, used_new + 1) + 1):
+            meter.tick()
+            if all(color[u] != c for u in g.adjacency[v]):
+                color[v] = c
+                if try_k(k, idx + 1):
+                    return True
+                color[v] = -1
+        return False
+
+    for k in range(1, g.n + 1):
+        color = [-1] * g.n
+        if try_k(k, 0):
+            return k
+    return g.n

@@ -434,15 +434,25 @@ class TestInputErrors:
         assert code == 0 and report["verdict"] == "YES"
 
     def test_oracle_too_deep_exit_2(self, runner, tmp_path, monkeypatch):
-        # a raised vertex cap lets the recursive oracle search take a
+        # a raised vertex cap lets the recursive homomorphism search take a
         # 2000-vertex path, which it cannot reach the end of
-        path = tmp_path / "p.el"
+        path, k2 = tmp_path / "p.el", tmp_path / "k2.el"
         path.write_text(format_edge_list(Graph(2000, [(v, v + 1) for v in range(1999)])))
+        k2.write_text(format_edge_list(Graph(2, [(0, 1)])))
         monkeypatch.setenv("RETRACT_ORACLE_BUDGET", "3000:10000000")
-        result = runner.invoke(main, ["oracle", "chromatic", str(path)])
+        result = runner.invoke(main, ["oracle", "hom", str(path), str(k2)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Error: input too deep for the solver" in result.output
+
+    def test_oracle_chromatic_of_a_long_path(self, runner, tmp_path, monkeypatch):
+        # the chromatic search backtracks on a stack, so the same path is
+        # no deeper for it than a short one
+        path = tmp_path / "p.el"
+        path.write_text(format_edge_list(Graph(2000, [(v, v + 1) for v in range(1999)])))
+        monkeypatch.setenv("RETRACT_ORACLE_BUDGET", "3000:10000000")
+        code, report = run_json(runner, ["oracle", "chromatic", str(path)])
+        assert code == 0 and report["value"] == 2
 
     @pytest.mark.parametrize(
         "args",

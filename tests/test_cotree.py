@@ -77,9 +77,12 @@ from tests.helpers import (
     reference_components,
     reference_find_induced_p4,
     reference_optimal_coloring,
+    reference_split,
+    reference_split_cotree,
     sparse_random_threshold_graph,
     universal_isolated_chain,
 )
+from tests.test_digests import encoded_pairs
 
 
 def _all_graphs(n: int) -> list[Graph]:
@@ -295,6 +298,32 @@ class TestForestPass:
             with pytest.raises(NotCographError) as split:
                 _split_cotree(g)
             assert built.value.witness == split.value.witness
+
+
+class TestSplitBuilder:
+    """The split builder and components against the first array builder
+    and its _split, frozen in tests/helpers.py."""
+
+    def test_same_arrays_and_witnesses_as_the_frozen_builder(self):
+        graphs = [g for n in range(1, 7) for g in _all_graphs(n)]
+        graphs += all_cographs(7)
+        graphs += [random_cograph(n, seed) for n in range(1, 201, 3) for seed in range(2)]
+        graphs += [cotree_to_graph(t) for pair in encoded_pairs() for t in pair]
+        graphs += [clique_with_pendant_p3(k) for k in range(1, 13)]
+        cographs = 0
+        for g in graphs:
+            assert components(g) == reference_split(g, tuple(range(g.n)), False)
+            try:
+                expected = reference_split_cotree(g)
+            except NotCographError as exc:
+                with pytest.raises(NotCographError) as err:
+                    _split_cotree(g)
+                assert err.value.witness == exc.witness
+                continue
+            cographs += 1
+            tree = _split_cotree(g)
+            assert tree.kind == expected.kind and tree.kids == expected.kids
+        assert 0 < cographs < len(graphs)
 
 
 def _check_postorder(tree) -> None:

@@ -5,7 +5,6 @@ same errors, message and line included."""
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +33,7 @@ from cogret.graph_core import (
 )
 
 from tests.helpers import (
+    all_graphs,
     cotree_chain,
     random_cotree,
     random_graph,
@@ -69,13 +69,6 @@ def assert_same(new, reference, *args) -> None:
         assert got[1] == want[1]
     else:
         assert got == want
-
-
-def all_graphs(most: int):
-    for n in range(most + 1):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            yield Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
 
 
 def check_every_format(g: Graph) -> None:

@@ -16,6 +16,7 @@ from cogret.graph_core import (
 from cogret.oracle import (
     BudgetExceededError,
     SearchBudget,
+    _Meter,
     brute_achromatic,
     brute_chromatic,
     brute_clique,
@@ -37,8 +38,10 @@ from tests.helpers import (
     P4,
     PAW,
     TWO_K2,
+    all_graphs,
     cycle,
     random_graph,
+    reference_brute_chromatic,
 )
 
 
@@ -116,6 +119,27 @@ class TestBruteCliqueChromatic:
         for seed in range(120):
             g = random_graph(seed % 8 + 1, seed, p=0.5)
             assert brute_clique(g) <= brute_chromatic(g)
+
+    def test_chromatic_ticks_as_the_recursive_search(self, monkeypatch):
+        # the same answer after the same number of states, so every state
+        # cap trips at the same point as in the recursive first version
+        ticks = [0]
+        tick = _Meter.tick
+
+        def counted(meter):
+            ticks[0] += 1
+            tick(meter)
+
+        monkeypatch.setattr(_Meter, "tick", counted)
+        for g in all_graphs(6):
+            runs = []
+            for search in (brute_chromatic, reference_brute_chromatic):
+                ticks[0] = 0
+                runs.append((search(g), ticks[0]))
+                if ticks[0]:
+                    with pytest.raises(BudgetExceededError):
+                        search(g, SearchBudget(max_vertices=16, max_states=ticks[0] - 1))
+            assert runs[0] == runs[1], list(g.edges())
 
 
 class TestBruteAchromatic:
